@@ -11,11 +11,23 @@ forward.
 Eve's view is the pair (true first observation, second observation); a
 substituted value is her own choice and carries no information.  All
 laws are exact: atoms are uniform over (message, scrambles, relay
-randomness) and every secrecy verdict is decided by integer-weight
-comparisons, never float thresholds.  Adaptive classes are classified by
-optimizing the selector per first observation, which is exact because
-the leakage objective is separable across observations; this covers the
-full selector space without materializing it.
+randomness).
+
+classify covers every strategy of a class with one optimiser over
+per-observation slices.  A substitution map only changes the relay
+input of atoms whose first observation is v, through the value it gives
+v, so the law of (M, Y3, Y4) given the view splits into one slice law
+per (view, admissible substituted value): d*d slices instead of d^d
+full laws.  The objective n*H(M | view, W) is a sum over slices, and each
+slice term is log2 of a ratio of integers, so strategies are ranked by
+exact integer cross-multiplication.  Single-shot codes pick each slice's
+substitute independently; a two-shot view (vA, vB) sees the map at both
+vA and vB, so two-shot active classes enumerate maps, each looking up
+cached slice terms.  Passive classes are the same optimiser with the
+identity as the only admissible map.
+
+enumerate_attacks and simulate_attack evaluate strategies one at a time,
+literally; they are the reference the optimiser is tested against.
 """
 
 from __future__ import annotations
@@ -146,6 +158,8 @@ def _modifications(d: int, active: bool) -> Iterator[tuple[int, ...]]:
 
 
 _ENUMERATION_CAP = 2_500_000
+# largest alphabet whose d^d substitution maps are enumerated one by one
+_ACTIVE_MAP_CAP_D = 6
 
 
 def enumerate_attacks(d: int, klass: AttackClass,
@@ -153,13 +167,18 @@ def enumerate_attacks(d: int, klass: AttackClass,
     """Complete, duplicate-free strategy list in canonical order.
 
     Canonical order is first_edge, then modification map, then selector,
-    each lexicographic.  Counts for single-shot codes: 4 deterministic-
-    passive, 2*2^d adaptive-passive, 4*d^d deterministic-active, and
-    2*d^d*2^d adaptive-active.  Two-shot selectors range over all d^2
-    first-layer views, so adaptive spaces grow to 2^(d^2) selectors.
+    each lexicographic; classify reports the first maximum-leakage
+    strategy in this order.  Counts for single-shot codes: 4
+    deterministic-passive, 2*2^d adaptive-passive, 4*d^d deterministic-
+    active, and 2*d^d*2^d adaptive-active.  Two-shot selectors range over
+    all d^2 first-layer views, so adaptive spaces grow to 2^(d^2)
+    selectors.  The list exists for the literal reference evaluation
+    (simulate_attack per strategy) that tests hold classify against;
+    classify itself never materializes it.
     """
-    if klass.is_active and d > 6:
-        raise BudgetError("active modification space d^d is out of budget for d > 6")
+    if klass.is_active and d > _ACTIVE_MAP_CAP_D:
+        raise BudgetError(f"active modification space d^d is out of budget "
+                          f"for d > {_ACTIVE_MAP_CAP_D}")
     views = d ** shots
     mods = d ** d if klass.is_active else 1
     selectors = 2 ** views if klass.is_adaptive else 2
@@ -234,29 +253,7 @@ def simulate_attack(code: OneHopCode, strategy: AttackStrategy) -> JointDistribu
 
 
 # ---------------------------------------------------------------------------
-# exact weight-table predicates
-
-def _independent_weights(weights: dict, total: int,
-                         m_index: int, cond_indices: tuple[int, ...]) -> bool:
-    """Exact independence of position m_index from the listed positions."""
-    joint = _project(weights, (m_index,) + tuple(cond_indices))
-    wm = _project(joint, (0,))
-    wc = _project(joint, tuple(range(1, 1 + len(cond_indices))))
-    for key, w in joint.items():
-        if w * total != wm[(key[0],)] * wc[key[1:]]:
-            return False
-    return True
-
-
-def _is_functional(weights: dict, m_index: int, cond_indices: tuple[int, ...]) -> bool:
-    seen: dict[tuple, int] = {}
-    for key in weights:
-        kc = tuple(key[i] for i in cond_indices)
-        prior = seen.setdefault(kc, key[m_index])
-        if prior != key[m_index]:
-            return False
-    return True
-
+# classification: one exact optimiser over per-observation slices
 
 def _mi_bits(weights: dict, total: int, m_index: int,
              view_indices: tuple[int, ...]) -> float:
@@ -287,132 +284,231 @@ class SecurityVerdict:
         }
 
 
-def _classify_deterministic(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
-    s = code.shots
-    view_idx = tuple(range(1, 1 + s))
-    best_leak = -1.0
-    best_witness = None
-    functional_witness = None
-    all_independent = True
-    for first_edge in (1, 2):
-        for mod in _modifications(code.d, klass.is_active):
-            base, total = _base_law(code, first_edge, mod)
-            for edge in (3, 4):
-                col = 1 + s if edge == 3 else 2 + s
-                view = _project(base, (0,) + view_idx + (col,))
-                idx = tuple(range(1, 2 + s))
-                leak = _mi_bits(view, total, 0, idx)
-                functional = _is_functional(view, 0, idx)
-                if all_independent and not _independent_weights(view, total, 0, idx):
-                    all_independent = False
-                strategy = None
-                if functional and functional_witness is None:
-                    strategy = AttackStrategy(
-                        code.d, s, klass, first_edge, mod,
-                        _constant_selector(code.d, s, edge))
-                    functional_witness = strategy
-                if leak > best_leak + 1e-15:
-                    if strategy is None:
-                        strategy = AttackStrategy(
-                            code.d, s, klass, first_edge, mod,
-                            _constant_selector(code.d, s, edge))
-                    best_leak = leak
-                    best_witness = strategy
-    if functional_witness is not None:
-        level = SecurityLevel.INSECURE
-    elif all_independent:
-        level = SecurityLevel.PERFECT
-    else:
-        level = SecurityLevel.IMPERFECT
-    return SecurityVerdict(code.name, klass, level, max(best_leak, 0.0), best_witness)
+# An objective is a pair (num, den) of positive integers with
+# log2(num / den) = n * H(M | ...) in bits, n the atom count of one
+# attack.  Every strategy has the same n, so the smaller ratio leaks more.
+
+def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] < b[0] * a[1]
 
 
-def _classify_adaptive(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
-    """Exact classification over every adaptive selector.
+def _first_min(candidates: Iterable[tuple]) -> tuple:
+    """First (objective, ...) candidate of least objective, in given order."""
+    best = None
+    for cand in candidates:
+        if best is None or _less(cand[0], best[0]):
+            best = cand
+    return best
 
-    For a fixed tap edge and modification, the leakage of selector s is
-    H(M) - sum_v P(v) H(M | V=v, W_s(v)), so the maximizing selector
-    picks the second edge per view independently; ties prefer e(3),
-    giving the first maximizer in canonical enumeration order.
+
+def _edge_choice(obj: tuple, edges: tuple[int, ...]) -> tuple:
+    """Least of a slice's objectives over edges, and the first edge attaining it."""
+    e = edges[-1] if _less(obj[edges[-1] - 3], obj[edges[0] - 3]) else edges[0]
+    return obj[e - 3], e
+
+
+def _slice_objectives(slice_w: dict) -> tuple[tuple[int, int], ...]:
+    """n*H(M | Y3) and n*H(M | Y4) of one slice of (M, Y3, Y4) weights.
+
+    With c_w atoms showing W = w, c_mw of them carrying message m, the
+    slice contributes log2(prod c_w^c_w / prod c_mw^c_mw).
+    """
+    out = []
+    for col in (1, 2):
+        by_w: dict[int, dict] = {}
+        for key, c in slice_w.items():
+            counts = by_w.setdefault(key[col], {})
+            counts[key[0]] = counts.get(key[0], 0) + c
+        num = den = 1
+        for counts in by_w.values():
+            c_w = sum(counts.values())
+            num *= c_w ** c_w
+            for c in counts.values():
+                den *= c ** c
+        out.append((num, den))
+    return tuple(out)
+
+
+def _substitutions(d: int, view: tuple[int, ...], active: bool) -> list[tuple[int, ...]]:
+    """Relay-side values some admissible map gives one view, lexicographic.
+
+    A map sends equal observations to equal values, so two shots that
+    saw the same symbol get the same substitute; a passive tap keeps the
+    view.
+    """
+    if not active:
+        return [view]
+    return [xs for xs in product(range(d), repeat=len(view))
+            if view[0] != view[-1] or xs[0] == xs[-1]]
+
+
+def _slice_laws(code: OneHopCode, first_edge: int,
+                active: bool) -> tuple[Iterator[tuple], dict, int]:
+    """Exact (M, Y3, Y4) weights of every (view, admissible substitute) slice.
+
+    Returns (slices, passive, n): slices yields ((view, substituted),
+    weights) one slice at a time, passive is _base_law under the
+    identity map, and n is the atom count of one attack.
+    """
+    pos = first_edge - 1
+    relay_values = code.relay_random_values()
+    passive: dict[tuple, int] = {}
+    atoms_of: dict[tuple, list] = {}
+    for key in code.encoder_inputs():
+        m = key[0]
+        first = code.first_layer_symbols(m, key[1:])
+        view = first[pos::2]  # Eve's tapped symbol in every shot
+        atoms_of.setdefault(view, []).append((m, first))
+        for lp in relay_values:
+            y3, y4 = code.relay_output(first, lp)
+            k = (m,) + view + (y3, y4, code.decoder[y3, y4])
+            passive[k] = passive.get(k, 0) + 1
+
+    def slices() -> Iterator[tuple]:
+        for view, atoms in atoms_of.items():
+            for xs in _substitutions(code.d, view, active):
+                slice_w: dict[tuple, int] = {}
+                for m, first in atoms:
+                    relay_in = list(first)
+                    relay_in[pos::2] = xs
+                    relay_in = tuple(relay_in)
+                    for lp in relay_values:
+                        y3, y4 = code.relay_output(relay_in, lp)
+                        slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
+                yield (view, xs), slice_w
+
+    return slices(), passive, sum(passive.values())
+
+
+def _tap_candidates(code: OneHopCode, klass: AttackClass,
+                    objectives: dict) -> Iterator[tuple]:
+    """Candidate strategies of one tap edge, in canonical order.
+
+    objectives maps each slice (view, substituted) to its objectives
+    with W = Y3 and W = Y4.  Yields (objective, mod, edges, edge_of),
+    where edges is the set of second-layer edges the selector may use
+    and edge_of maps each slice to its least objective over edges and
+    the first edge attaining it.  One candidate is yielded per edge set
+    (single-shot) or per map and edge set (two-shot), each the
+    canonically first optimum of its group, so the first least objective
+    yielded belongs to the tap edge's canonical witness.
+    """
+    d, active = code.d, klass.is_active
+    substitutes: dict[tuple, list] = {}
+    for view, xs in sorted(objectives):
+        substitutes.setdefault(view, []).append(xs)
+    edge_sets = ((3, 4),) if klass.is_adaptive else ((3,), (4,))
+    tables = [(edges, {key: _edge_choice(obj, edges) for key, obj in objectives.items()})
+              for edges in edge_sets]
+    if code.shots == 1:
+        # each view picks its own substitute: least objective first, then
+        # the smallest substitute
+        group = []
+        for edges, edge_of in tables:
+            mod = list(_identity(d) if not active else (0,) * d)
+            num = den = 1
+            for view, options in substitutes.items():
+                obj, (x,) = _first_min((edge_of[view, xs][0], xs) for xs in options)
+                mod[view[0]] = x
+                num *= obj[0]
+                den *= obj[1]
+            group.append(((num, den), tuple(mod), edges, edge_of))
+        # a deterministic tie between the two edges goes to (mod, edge) order
+        group.sort(key=lambda cand: cand[1:3])
+        yield from group
+        return
+    # one map serves both shots, so two-shot slices are coupled: walk the
+    # maps in order and look each slice term up
+    for mod in _modifications(d, active):
+        keys = [(view, tuple(mod[v] for v in view)) for view in substitutes]
+        for edges, edge_of in tables:
+            num = den = 1
+            for key in keys:
+                obj = edge_of[key][0]
+                num *= obj[0]
+                den *= obj[1]
+            yield (num, den), mod, edges, edge_of
+
+
+def _witness_leakage(code: OneHopCode, witness: AttackStrategy,
+                     base: dict, n: int) -> float:
+    """Leakage of the witness in bits, by the float formula of the class.
+
+    base is the witness's _base_law.  Deterministic: I(M; view, W) from
+    entropies of the view law.  Adaptive: H(M) minus the per-view terms
+    P(v) H(M | v, W), views in lexicographic order.
     """
     d, s = code.d, code.shots
-    views = list(product(range(d), repeat=s))
-    best_leak = -1.0
-    best_witness = None
-    insecure_witness = None
-    all_independent = True
-    for first_edge in (1, 2):
-        for mod in _modifications(d, klass.is_active):
-            base, total = _base_law(code, first_edge, mod)
-            # split by view; entries are (m, y3, y4) weights
-            by_view: dict[tuple, dict] = {}
-            for atom, w in base.items():
-                v = atom[1:1 + s]
-                slice_w = by_view.setdefault(v, {})
-                k = (atom[0], atom[1 + s], atom[2 + s])
-                slice_w[k] = slice_w.get(k, 0) + w
-            if not _independent_weights(base, total, 0, tuple(range(1, 1 + s))):
-                all_independent = False
-            h_m = _entropy_of_weights(_project(base, (0,)), total)
-            cond_sum = 0.0
-            selector = [3] * (d ** s)
-            recoverable_everywhere = True
-            for v in views:
-                slice_w = by_view.get(v)
-                if slice_w is None:
-                    continue  # unreachable view; selector entry stays e(3)
-                slice_total = sum(slice_w.values())
-                best_h = None
-                best_edge = 3
-                slice_can_recover = False
-                for edge, col in ((3, 1), (4, 2)):
-                    pair = _project(slice_w, (0, col))
-                    h_mw = _entropy_of_weights(pair, slice_total)
-                    h_w = _entropy_of_weights(_project(pair, (1,)), slice_total)
-                    h = h_mw - h_w
-                    if _is_functional(pair, 0, (1,)):
-                        slice_can_recover = True
-                    if all_independent and not _independent_weights(
-                            pair, slice_total, 0, (1,)):
-                        all_independent = False
-                    if best_h is None or h < best_h - 1e-15:
-                        best_h = h
-                        best_edge = edge
-                idx = 0
-                for x in v:
-                    idx = idx * d + x
-                selector[idx] = best_edge
-                cond_sum += (slice_total / total) * best_h
-                if not slice_can_recover:
-                    recoverable_everywhere = False
-            leak = h_m - cond_sum
-            if recoverable_everywhere and insecure_witness is None:
-                insecure_witness = AttackStrategy(
-                    d, s, klass, first_edge, mod, tuple(selector))
-            if leak > best_leak + 1e-15:
-                best_leak = leak
-                best_witness = AttackStrategy(
-                    d, s, klass, first_edge, mod, tuple(selector))
-    if insecure_witness is not None:
-        level = SecurityLevel.INSECURE
-    elif all_independent:
-        level = SecurityLevel.PERFECT
-    else:
-        level = SecurityLevel.IMPERFECT
-    return SecurityVerdict(code.name, klass, level, max(best_leak, 0.0), best_witness)
+    if not witness.klass.is_adaptive:
+        col = 1 + s if witness.selector[0] == 3 else 2 + s
+        view_law = _project(base, (0,) + tuple(range(1, 1 + s)) + (col,))
+        return _mi_bits(view_law, n, 0, tuple(range(1, 2 + s)))
+    by_view: dict[tuple, dict] = {}
+    for atom, w in base.items():
+        slice_w = by_view.setdefault(atom[1:1 + s], {})
+        k = (atom[0], atom[1 + s], atom[2 + s])
+        slice_w[k] = slice_w.get(k, 0) + w
+    cond = 0.0
+    for view in product(range(d), repeat=s):
+        slice_w = by_view.get(view)
+        if slice_w is None:
+            continue
+        slice_n = sum(slice_w.values())
+        pair = _project(slice_w, (0, 1 if witness.second_edge_for(view) == 3 else 2))
+        h = _entropy_of_weights(pair, slice_n) - \
+            _entropy_of_weights(_project(pair, (1,)), slice_n)
+        cond += (slice_n / n) * h
+    return _entropy_of_weights(_project(base, (0,)), n) - cond
 
 
 def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
-    """Evaluate every strategy of the class and return the verdict.
+    """Exact verdict over every strategy of the class, without enumerating it.
 
-    insecure: some strategy makes M a function of Eve's view (exact
-    support test).  perfectly-secret: every strategy's view is exactly
-    independent of M.  imperfectly-secret: everything else.  The witness
-    is the first maximum-leakage strategy in canonical order.
+    insecure: some strategy makes M a function of Eve's view.
+    perfectly-secret: every strategy's view is independent of M.
+    imperfectly-secret: everything else.  Both tests read the least
+    objective n*H(M | view, W): it is 0 exactly when some view pins M,
+    and n*H(M) exactly when no strategy leaks.
+
+    The witness is the first maximum-leakage strategy in canonical order
+    (first_edge, then modification, then selector): within a slice the
+    smallest substitute, then e(3); for deterministic classes (mod, edge)
+    order within a tap edge; e(1) over e(2) on ties.  A view no atom
+    reaches keeps substitute 0 (identity when passive) and, in an
+    adaptive selector, e(3).
+    max_leakage_bits is the witness's leakage in floating point.
+
+    Two-shot active classes enumerate the d^d maps and raise BudgetError
+    for d > 6.
     """
-    if klass.is_adaptive:
-        return _classify_adaptive(code, klass)
-    return _classify_deterministic(code, klass)
+    if klass.is_active and code.shots == 2 and code.d > _ACTIVE_MAP_CAP_D:
+        raise BudgetError(f"two-shot active classification enumerates d^d maps; "
+                          f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
+    d, s = code.d, code.shots
+    best = None
+    for first_edge in (1, 2):
+        slices, passive, n = _slice_laws(code, first_edge, klass.is_active)
+        objectives = {key: _slice_objectives(w) for key, w in slices}
+        cand = _first_min(_tap_candidates(code, klass, objectives))
+        if best is None or _less(cand[0], best[0]):
+            best = cand + (passive, n, first_edge)
+    objective, mod, edges, edge_of, passive, n, first_edge = best
+    selector = []
+    for view in product(range(d), repeat=s):
+        key = (view, tuple(mod[v] for v in view))
+        # a view no atom reaches has no slice and keeps the first edge
+        selector.append(edge_of[key][1] if key in edge_of else edges[0])
+    witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
+    # M is uniform (n/d atoms per message), so n*H(M) = log2(d^n)
+    if objective[0] == objective[1]:
+        level = SecurityLevel.INSECURE
+    elif objective[0] == objective[1] * d ** n:
+        level = SecurityLevel.PERFECT
+    else:
+        level = SecurityLevel.IMPERFECT
+    base = _base_law(code, first_edge, mod)[0] if klass.is_active else passive
+    leak = _witness_leakage(code, witness, base, n)
+    return SecurityVerdict(code.name, klass, level, max(leak, 0.0), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -756,43 +852,29 @@ def code_is_affine(code: OneHopCode) -> bool:
 def linear_active_reduction_check(code: OneHopCode) -> bool:
     """Empirical check that active attacks add nothing against affine codes.
 
-    For every tap pair and every substitution map, Eve's active view must
-    match the passive view on the same edges after a shift she can
-    compute from her own first observation.  Verified by exact joint-law
-    comparison over all candidate shifts; non-affine codes are rejected.
+    For every tap pair and every admissible substitution of every view,
+    Eve's active view must match the passive view on the same edges
+    after a shift she can compute from her own first observation.  The
+    slices are those classify optimises over; every (view, substitute)
+    slice occurs under some map, so this covers all d^d maps.  Verified
+    by exact joint-law comparison over all candidate shifts; non-affine
+    codes are rejected.
     """
     if not code_is_affine(code):
         raise ValueError("code tables are not affine over Z_d")
-    d, s = code.d, code.shots
-    view_positions = tuple(range(1, 1 + s))
+    d = code.d
     for first_edge in (1, 2):
-        passive, total = _base_law(code, first_edge, _identity(d))
-        passive_views = {}
-        for edge_col in (1 + s, 2 + s):
-            by_v: dict[tuple, dict] = {}
-            for atom, w in passive.items():
-                v = atom[1:1 + s]
-                k = (atom[0], atom[edge_col])
-                slot = by_v.setdefault(v, {})
-                slot[k] = slot.get(k, 0) + w
-            passive_views[edge_col] = by_v
-        for mod in product(range(d), repeat=d):
-            active, _ = _base_law(code, first_edge, mod)
-            for edge_col in (1 + s, 2 + s):
-                by_v: dict[tuple, dict] = {}
-                for atom, w in active.items():
-                    v = atom[1:1 + s]
-                    k = (atom[0], atom[edge_col])
-                    slot = by_v.setdefault(v, {})
-                    slot[k] = slot.get(k, 0) + w
-                for v, active_slice in by_v.items():
-                    passive_slice = passive_views[edge_col][v]
-                    if not any(
-                            all(passive_slice.get((m, (w2 - delta) % d), 0) == wt
-                                for (m, w2), wt in active_slice.items())
-                            and sum(active_slice.values()) == sum(passive_slice.values())
-                            for delta in range(d)):
-                        return False
+        slices = dict(_slice_laws(code, first_edge, active=True)[0])
+        for (view, _), active_slice in slices.items():
+            # the identity is admissible, and both slices hold the same atoms
+            passive_slice = slices[view, view]
+            for col in (1, 2):
+                active = _project(active_slice, (0, col))
+                passive = _project(passive_slice, (0, col))
+                if not any(all(passive.get((m, (w - delta) % d), 0) == wt
+                               for (m, w), wt in active.items())
+                           for delta in range(d)):
+                    return False
     return True
 
 

@@ -58,9 +58,15 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
 
 
-def _load_square(path: str) -> al.AntiLatinSquare:
+def _read_file(path: Optional[str], flag: str) -> str:
+    if path is None:
+        raise ValueError(f"{flag} FILE is required (or --selftest)")
     with open(path, "r", encoding="utf-8") as fh:
-        return al.AntiLatinSquare.from_text(fh.read())
+        return fh.read()
+
+
+def _load_square(path: Optional[str], flag: str) -> al.AntiLatinSquare:
+    return al.AntiLatinSquare.from_text(_read_file(path, flag))
 
 
 def _load_network(spec: str) -> nc.WiretapNetwork:
@@ -86,6 +92,9 @@ def _build_family_code(family: str, d: int, seed: int):
         if d in (3, 4):
             return anti_latin_code(*al.reference_decodable_pair(d))
         result = al.find_decodable_pair(d, seed=seed)
+        if result.proven_empty:
+            raise ValueError(f"no decodable anti-Latin pair exists for d={d} "
+                             f"(exhaustive over {result.examined} candidate pairs)")
         if not result.found:
             raise BudgetError(f"no decodable anti-Latin pair found for d={d}")
         return anti_latin_code(*result.pair)
@@ -154,9 +163,9 @@ def cmd_antilatin_verify(args) -> int:
         ok &= _report("latin square rejected",
                       not al.is_anti_latin([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
         return 0 if ok else 1
-    with open(args.file, "r", encoding="utf-8") as fh:
-        rows = [[int(t) for t in line.split()]
-                for line in fh.read().strip().splitlines() if line.strip()]
+    rows = [[int(t) for t in line.split()]
+            for line in _read_file(args.file, "--file").strip().splitlines()
+            if line.strip()]
     result = al.is_anti_latin(rows)
     if args.format == "json":
         _emit_json({"anti_latin": result})
@@ -174,7 +183,7 @@ def cmd_antilatin_xi(args) -> int:
                      xs.members == frozenset(b.entry(l, l) for l in range(3)))
         ok &= _report("empty xi set", al.xi_set(a, b, 1, 0).members == frozenset())
         return 0 if ok else 1
-    a, b = _load_square(args.a), _load_square(args.b)
+    a, b = _load_square(args.a, "--a"), _load_square(args.b, "--b")
     xs = al.xi_set(a, b, args.z, args.m)
     if args.format == "json":
         _emit_json({"z": xs.z, "m": xs.m, "members": sorted(xs.members)})
@@ -189,7 +198,7 @@ def cmd_antilatin_pair_check(args) -> int:
         ok = _report("reference pair one-to-one", al.is_one_to_one_pair(*pair))
         ok &= _report("reference pair decodable", al.is_decodable_pair(*pair))
         return 0 if ok else 1
-    a, b = _load_square(args.a), _load_square(args.b)
+    a, b = _load_square(args.a, "--a"), _load_square(args.b, "--b")
     payload = {"one_to_one": al.is_one_to_one_pair(a, b),
                "decodable": al.is_decodable_pair(a, b)}
     if args.format == "json":
@@ -333,8 +342,7 @@ def cmd_mds_verify(args) -> int:
         ok &= _report("equal columns rejected",
                       not verify_mds(Matrix.from_rows([[1, 1], [2, 2]], 5)))
         return 0 if ok else 1
-    with open(args.file, "r", encoding="utf-8") as fh:
-        matrix = Matrix.from_text(fh.read())
+    matrix = Matrix.from_text(_read_file(args.file, "--file"))
     result = verify_mds(matrix)
     if args.format == "json":
         _emit_json({"mds": result})
@@ -371,6 +379,8 @@ def cmd_han(args) -> int:
         res = check_han_subsets(dist, ("Y1", "Y2"), (), 2)
         ok &= _report("r=k equality", res.holds and res.slack == 0.0)
         return 0 if ok else 1
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = random.Random(args.seed)
     variables = [("X", 2)] + [(f"Y{i + 1}", 2) for i in range(args.k)]
     groups = [f"Y{i + 1}" for i in range(args.k)]

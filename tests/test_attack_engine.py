@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from wiretaplab.attack_engine import (
     simulate_attack,
     table_mismatches,
 )
+from wiretaplab.attack_engine import _slice_laws
 from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
     is_function_of,
@@ -27,6 +29,7 @@ from wiretaplab.info_theory import (
 from wiretaplab.onehop_codes import (
     OneHopCode,
     anti_latin_code,
+    enumerate_onehop_codes,
     scalar_linear_code,
     standard_nonlinear_code,
     vector_linear_code,
@@ -46,22 +49,51 @@ def view_names(dist):
     return [n for n, _ in dist.variables if n.startswith("Z")]
 
 
+def equivocation_ratio(dist, atoms):
+    """2^(atoms * H(M | view)) as an integer ratio (num, den).
+
+    With c_v of the atoms showing view v and c_mv of them carrying
+    message m, atoms * H(M | view) = log2(prod c_v^c_v / prod c_mv^c_mv).
+    """
+    view = [i for i, (name, _) in enumerate(dist.variables) if name.startswith("Z")]
+    joint, views = {}, {}
+    for key, p in dist.table.items():
+        c = p * atoms
+        assert c.denominator == 1
+        mv = (key[0],) + tuple(key[i] for i in view)
+        joint[mv] = joint.get(mv, 0) + c.numerator
+        views[mv[1:]] = views.get(mv[1:], 0) + c.numerator
+    num = den = 1
+    for c in views.values():
+        num *= c ** c
+    for c in joint.values():
+        den *= c ** c
+    return num, den
+
+
 def brute_force_verdict(code, klass):
-    """Independent oracle: literally evaluate every enumerable strategy."""
-    best_leak = -1.0
+    """Independent oracle: literally evaluate every enumerable strategy.
+
+    The witness is the first strategy of least equivocation H(M | view),
+    that is of most leakage, compared exactly.
+    """
+    atoms = len(list(code.encoder_inputs())) * len(code.relay_random_values())
+    best = None
+    best_leak = None
     best_strategy = None
     any_recovery = False
     all_independent = True
     for strategy in enumerate_attacks(code.d, klass, code.shots):
         dist = simulate_attack(code, strategy)
         names = view_names(dist)
-        leak = mutual_information(dist, "M", names)
         if is_function_of(dist, "M", names):
             any_recovery = True
         if not is_independent(dist, "M", names):
             all_independent = False
-        if leak > best_leak + 1e-15:
-            best_leak = leak
+        num, den = equivocation_ratio(dist, atoms)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+            best_leak = mutual_information(dist, "M", names)
             best_strategy = strategy
     if any_recovery:
         level = SecurityLevel.INSECURE
@@ -70,6 +102,26 @@ def brute_force_verdict(code, klass):
     else:
         level = SecurityLevel.IMPERFECT
     return level, best_leak, best_strategy
+
+
+def random_code(rng, d, shots, scramble_count, relay_randomness):
+    """A seeded random code whose decoder recovers M from (Y3, Y4)."""
+    words = list(product(range(d), repeat=2 * shots))
+    owner, encoder = {}, {}
+    for key in product(range(d), repeat=1 + scramble_count):
+        # a first-layer word that carries one message cannot carry another
+        word = rng.choice([w for w in words if owner.get(w, key[0]) == key[0]])
+        owner[word] = key[0]
+        encoder[key] = tuple(word[2 * i:2 * i + 2] for i in range(shots))
+    outputs = list(product(range(d), repeat=2))
+    decoder = {out: m % d for m, out in enumerate(rng.sample(outputs, len(outputs)))}
+    relay = {}
+    for key in product(range(d), repeat=2 * shots + relay_randomness):
+        m = owner.get(key[:2 * shots])
+        choices = [out for out in outputs if m is None or decoder[out] == m]
+        relay[key] = rng.choice(choices)
+    return OneHopCode(d, shots, scramble_count, bool(relay_randomness),
+                      encoder, relay, decoder, name=f"random-d{d}-s{shots}")
 
 
 class TestEnumerateAttacks:
@@ -214,24 +266,49 @@ class TestClassify:
         assert all(edge == 3 for edge in w.selector[1:])
 
     def test_matches_brute_force_enumeration(self):
-        # dual route: the separable adaptive path must agree with literal
+        # dual route: the slice optimiser must agree with literal
         # strategy-by-strategy evaluation wherever that is enumerable
-        cases = [
-            (standard_nonlinear_code(2), AP),
-            (standard_nonlinear_code(2), AA),
-            (standard_nonlinear_code(3), AP),
-            (scalar_linear_code(2, relay_randomness=False), AP),
-            (scalar_linear_code(2), AA),
-            (anti_latin_code(*reference_decodable_pair(3)), AA),
-            (vector_linear_code(2), AP),
-            (vector_linear_code(2), AA),
+        codes = [
+            standard_nonlinear_code(2),
+            standard_nonlinear_code(3),
+            scalar_linear_code(2, relay_randomness=False),
+            scalar_linear_code(2),
+            anti_latin_code(*reference_decodable_pair(3)),
+            vector_linear_code(2),
         ]
+        codes += list(enumerate_onehop_codes(2))[::16]
+        rng = random.Random(2311)
+        codes += [random_code(rng, 3, 1, 1, i % 3 == 0) for i in range(30)]
+        codes += [random_code(rng, 2, 2, 1 + i % 3, i % 4 == 0) for i in range(30)]
+        cases = [(code, klass) for code in codes for klass in (DP, AP, DA, AA)]
         for code, klass in cases:
             level, leak, strategy = brute_force_verdict(code, klass)
             verdict = classify(code, klass)
             assert verdict.level is level, (code.name, klass)
             assert verdict.max_leakage_bits == pytest.approx(leak, abs=1e-9)
             assert verdict.witness == strategy, (code.name, klass)
+
+    def test_two_shot_slices_are_admissible(self):
+        # a map gives equal observations equal substitutes, so a view that
+        # saw one symbol twice has d slices and any other view has d^2
+        d = 3
+        slices, _, _ = _slice_laws(vector_linear_code(d), 1, active=True)
+        keys = [key for key, _ in slices]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted(
+            (view, xs) for view in product(range(d), repeat=2)
+            for xs in product(range(d), repeat=2)
+            if view[0] != view[1] or xs[0] == xs[1])
+
+    def test_active_budget(self):
+        # two-shot active classes enumerate d^d maps and stop at d > 6;
+        # single-shot active classes are polynomial and have no cap
+        with pytest.raises(BudgetError):
+            classify(vector_linear_code(7), DA)
+        with pytest.raises(BudgetError):
+            classify(vector_linear_code(7), AA)
+        assert classify(vector_linear_code(7), AP).level is SecurityLevel.PERFECT
+        assert classify(standard_nonlinear_code(7), AA).level is SecurityLevel.INSECURE
 
     def test_leakage_bounded_by_log_d(self):
         for d in (2, 3):
@@ -267,13 +344,10 @@ class TestMonotonicity:
         if d in (3, 4):
             codes.append(anti_latin_code(*reference_decodable_pair(d)))
         for code in codes:
-            if code.shots == 2 and d > 3:
-                continue  # two-shot active space at d>3 is covered by the table test
-            dp = classify(code, DP).max_leakage_bits
-            ap = classify(code, AP).max_leakage_bits
-            aa = classify(code, AA).max_leakage_bits
-            assert dp <= ap + 1e-9
-            assert ap <= aa + 1e-9
+            dp, ap, da, aa = (classify(code, klass).max_leakage_bits
+                              for klass in (DP, AP, DA, AA))
+            assert dp <= da + 1e-9 and da <= aa + 1e-9, code.name
+            assert dp <= ap + 1e-9 and ap <= aa + 1e-9, code.name
 
 
 @pytest.fixture(scope="module")

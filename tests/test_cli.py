@@ -117,6 +117,36 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_two_shot_active_budget_is_3(self, capsys):
+        code, _, err = run(capsys, "classify", "--family", "vector-linear",
+                           "--d", "7", "--class", "adaptive-active")
+        assert code == 3
+        assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("antilatin", "verify"),
+        ("antilatin", "xi"),
+        ("antilatin", "pair-check"),
+        ("mds", "verify"),
+    ])
+    def test_missing_file_is_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "FILE is required" in err
+
+    def test_han_without_samples_is_2(self, capsys):
+        code, _, err = run(capsys, "han", "--samples", "0")
+        assert code == 2
+        assert "--samples" in err
+
+    def test_proven_absent_family_is_2(self, capsys):
+        # no decodable anti-Latin pair exists at d=2: a usage error with the
+        # proof's size, not an exhausted budget
+        code, _, err = run(capsys, "classify", "--family", "anti-latin",
+                           "--d", "2", "--class", "passive")
+        assert code == 2
+        assert "no decodable anti-Latin pair exists for d=2" in err
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
