@@ -116,9 +116,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def element(self, i: int, j: int) -> RingElement:
-        return RingElement(self.entry(i, j), self.modulus)
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 

@@ -5,13 +5,21 @@ every column contains a duplicated value.  A pair (A, B) of such squares
 drives a relay code sending (a_{Y1,Y2}, b_{Y1,Y2}); the pair is usable
 iff the second-layer value sets ("Xi sets") indexed by message value are
 pairwise disjoint, which this module decides exactly.
+
+Every search decides pairs through one predicate, the equality-pattern
+mask of `conflict_mask`: one bit per constrained cell pair, set where
+the square repeats a value, so that two squares are compatible iff
+their masks are disjoint.  The Xi-set `is_decodable_pair` and the
+direct `is_one_to_one_pair` are kept as the independent reference that
+re-checks every certificate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import BudgetError
@@ -95,6 +103,8 @@ def xi_set(a: AntiLatinSquare, b: AntiLatinSquare, z: int, m: int) -> XiSet:
     if a.d != b.d:
         raise ValueError("size mismatch")
     d = a.d
+    if not (0 <= z < d and 0 <= m < d):
+        raise ValueError(f"z and m must lie in range({d}), got z={z}, m={m}")
     members = frozenset(
         b.entry(l, (l + m) % d) for l in range(d) if a.entry(l, (l + m) % d) == z)
     return XiSet(z, m, members)
@@ -145,19 +155,46 @@ def enumerate_anti_latin(d: int) -> list[AntiLatinSquare]:
     return out
 
 
-def _value_permutations(d: int) -> list[tuple[int, ...]]:
-    perms = []
+# ---------------------------------------------------------------------------
+# the pairwise predicate: equality-pattern conflict masks
 
-    def rec(prefix):
-        if len(prefix) == d:
-            perms.append(tuple(prefix))
-            return
-        for v in range(d):
-            if v not in prefix:
-                rec(prefix + [v])
+@lru_cache(maxsize=None)
+def _constrained_pairs(d: int, mode: str) -> tuple[tuple[int, int], ...]:
+    """Cell pairs (c1 < c2, row-major) that the mode's pair condition covers."""
+    cells = combinations(range(d * d), 2)
+    if mode == "one-to-one":
+        return tuple(cells)
+    if mode == "decodable":
+        diag = _diagonal_index(d)
+        return tuple((c1, c2) for c1, c2 in cells if diag[c1] != diag[c2])
+    raise ValueError(f"unknown mode {mode!r}")
 
-    rec([])
-    return perms
+
+def conflict_mask(square: AntiLatinSquare, mode: str) -> int:
+    """One bit per constrained cell pair, set where the square repeats a value.
+
+    Mode "one-to-one" constrains every cell pair, so the mask is the
+    square's equality pattern; "decodable" constrains the pairs on
+    different broken diagonals (j - i) % d.  A pair (a, b) repeats an
+    (a, b) value pair on two constrained cells iff both squares repeat
+    a value there, so the pair is compatible iff the masks are disjoint.
+    The mask is never 0: every row repeats a value, and two cells of
+    one row lie on different diagonals.
+    """
+    flat = square.flat()
+    mask = 0
+    for bit, (c1, c2) in enumerate(_constrained_pairs(square.d, mode)):
+        if flat[c1] == flat[c2]:
+            mask |= 1 << bit
+    return mask
+
+
+def _conflict_masks(squares: Sequence[AntiLatinSquare], d: int,
+                    mode: str) -> list[int]:
+    _constrained_pairs(d, mode)  # validates the mode name
+    if any(sq.d != d for sq in squares):
+        raise ValueError(f"every square must be {d} x {d}")
+    return [conflict_mask(sq, mode) for sq in squares]
 
 
 def canonical_representatives(catalog: Sequence[AntiLatinSquare],
@@ -166,16 +203,15 @@ def canonical_representatives(catalog: Sequence[AntiLatinSquare],
 
     Both the anti-Latin property and pair decodability are invariant
     under independent value relabelings of each square, so existence
-    searches may range over representatives only.
+    searches may range over representatives only.  The orbit key is the
+    one-to-one conflict mask: it is the square's equality pattern, which
+    two squares share iff a value relabeling maps one onto the other.
     """
-    perms = _value_permutations(d)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     reps = []
-    for sq in catalog:
-        flat = sq.flat()
-        canon = min(tuple(p[v] for v in flat) for p in perms)
-        if canon not in seen:
-            seen.add(canon)
+    for sq, mask in zip(catalog, _conflict_masks(catalog, d, "one-to-one")):
+        if mask not in seen:
+            seen.add(mask)
             reps.append(sq)
     return reps
 
@@ -220,24 +256,15 @@ def find_decodable_pair(d: int,
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if d == 2:
-        catalog = enumerate_anti_latin(2)
+    if d <= 3:
+        catalog = enumerate_anti_latin(d)
+        squares = catalog if d == 2 else canonical_representatives(catalog, d)
+        masks = _conflict_masks(squares, d, "decodable")
         examined = 0
-        for a in catalog:
-            for b in catalog:
+        for a, mask_a in zip(squares, masks):
+            for b, mask_b in zip(squares, masks):
                 examined += 1
-                if is_decodable_pair(a, b):
-                    return PairSearchResult(True, (a, b), False, "exhaustive", examined)
-        return PairSearchResult(False, None, True, "exhaustive", examined)
-    if d == 3:
-        reps = canonical_representatives(enumerate_anti_latin(3), 3)
-        diag = _diagonal_index(3)
-        examined = 0
-        for a in reps:
-            fa = a.flat()
-            for b in reps:
-                examined += 1
-                if _pair_decodable_raw(fa, b.flat(), diag, 3):
+                if not mask_a & mask_b:
                     return PairSearchResult(True, (a, b), False, "exhaustive", examined)
         return PairSearchResult(False, None, True, "exhaustive", examined)
     return _hill_climb_pair(d, seed, budget)
@@ -245,19 +272,6 @@ def find_decodable_pair(d: int,
 
 def _diagonal_index(d: int) -> tuple[int, ...]:
     return tuple((j - i) % d for i in range(d) for j in range(d))
-
-
-def _pair_decodable_raw(fa: Sequence[int], fb: Sequence[int],
-                        diag: Sequence[int], d: int) -> bool:
-    # decodable iff no (a, b) value pair repeats across two diagonals
-    masks = [0] * d
-    for i in range(d * d):
-        masks[diag[i]] |= 1 << (fa[i] * d + fb[i])
-    for m1 in range(d):
-        for m2 in range(m1 + 1, d):
-            if masks[m1] & masks[m2]:
-                return False
-    return True
 
 
 def _anti_latin_violations(rows: list[list[int]], d: int) -> int:
@@ -383,34 +397,25 @@ def _max_clique(adj: list[int], n: int) -> list[int]:
 
 def compatibility_graph(catalog: Sequence[AntiLatinSquare],
                         d: int, mode: str) -> list[int]:
-    """Bitmask adjacency over the catalog under the pairwise predicate."""
-    n = len(catalog)
-    flats = [sq.flat() for sq in catalog]
-    diag = _diagonal_index(d)
-    adj = [0] * n
-    if mode == "decodable":
-        # precompute per-square diagonal split of cell indices
-        for i in range(n):
-            fi = flats[i]
-            for j in range(i + 1, n):
-                if _pair_decodable_raw(fi, flats[j], diag, d):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-    else:
-        _pair_predicate(mode)  # validates the mode name
-        cells = d * d
-        # a one-to-one partner forces every value to appear exactly d
-        # times in each square, so unbalanced squares are isolated
-        balanced = [i for i in range(n)
-                    if all(flats[i].count(v) == d for v in range(d))]
-        for ii, i in enumerate(balanced):
-            fi = flats[i]
-            for j in balanced[ii + 1:]:
-                fj = flats[j]
-                if len({(fi[c], fj[c]) for c in range(cells)}) == cells:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-    return adj
+    """Bitmask adjacency over the catalog: i ~ j iff their conflict masks are disjoint.
+
+    Squares with the same mask have the same neighbours, so each pair of
+    distinct masks is tested once and the result is spread over the
+    catalog indices of both classes.  No mask is 0, so no square is
+    adjacent to itself or to another square of its class.
+    """
+    masks = _conflict_masks(catalog, d, mode)
+    members: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        members[mask] = members.get(mask, 0) | 1 << i
+    distinct = list(members)
+    partners = dict.fromkeys(distinct, 0)
+    for k, mask in enumerate(distinct):
+        for other in distinct[k + 1:]:
+            if not mask & other:
+                partners[mask] |= members[other]
+                partners[other] |= members[mask]
+    return [partners[mask] for mask in masks]
 
 
 def max_mutual_set(d: int,
@@ -424,8 +429,11 @@ def max_mutual_set(d: int,
     sets satisfy the pairwise condition vacuously, so results are >= 1.
     The exact method (d <= 3 only) enumerates the full catalog, builds
     the compatibility graph, and solves maximum clique to optimality.
-    The heuristic method reports a certified lower bound.
+    The heuristic method reports a certified lower bound.  Both certify
+    the set with the reference pair predicate.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
     predicate = _pair_predicate(mode)
     if method == "exact":
         if d > 3:
@@ -434,8 +442,6 @@ def max_mutual_set(d: int,
         adj = compatibility_graph(catalog, d, mode)
         clique = _max_clique(adj, len(catalog))
         squares = tuple(catalog[i] for i in sorted(clique))
-        if not squares:
-            squares = (catalog[0],)
         _validate_certificate(squares, predicate)
         return MaxSetResult(len(squares), squares, mode, "exact", True)
     if method != "heuristic":

@@ -74,12 +74,6 @@ class WiretapNetwork:
         if seen != len(self.nodes):
             raise ValueError("network has a directed cycle")
 
-    def info(self, node: str) -> NodeInfo:
-        for n, i in self.nodes:
-            if n == node:
-                return i
-        raise KeyError(node)
-
     @property
     def source(self) -> str:
         return next(n for n, i in self.nodes if i.role == "source")

@@ -20,16 +20,6 @@ from typing import Iterator, Optional
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
 
 
-@dataclass(frozen=True)
-class NetworkTopology:
-    """The fixed one-hop layout: two parallel edges per layer."""
-
-    first_layer: tuple[int, int] = (1, 2)
-    second_layer: tuple[int, int] = (3, 4)
-
-
-ONE_HOP_TOPOLOGY = NetworkTopology()
-
 EncoderTable = dict[tuple[int, ...], tuple[tuple[int, int], ...]]
 RelayTable = dict[tuple[int, ...], tuple[int, int]]
 DecoderTable = dict[tuple[int, int], int]

@@ -8,6 +8,8 @@ from wiretaplab.anti_latin import (
     MaxSetResult,
     _max_clique,
     canonical_representatives,
+    compatibility_graph,
+    conflict_mask,
     enumerate_anti_latin,
     find_decodable_pair,
     is_anti_latin,
@@ -85,6 +87,12 @@ class TestXiSet:
             xi_set(AntiLatinSquare.from_rows(REF3_A),
                    AntiLatinSquare.from_rows(REF4_A), 0, 0)
 
+    @pytest.mark.parametrize("z, m", [(3, 0), (7, 0), (-1, 0), (0, 3), (0, -1)])
+    def test_z_and_m_outside_zd_raise(self, z, m):
+        a, b = reference_decodable_pair(3)
+        with pytest.raises(ValueError):
+            xi_set(a, b, z, m)
+
 
 class TestPairPredicates:
     def test_reference_pairs_decodable(self):
@@ -122,6 +130,93 @@ class TestPairPredicates:
             a = catalog[rng.randrange(len(catalog))]
             b = catalog[rng.randrange(len(catalog))]
             assert is_decodable_pair(a, b) == is_decodable_pair(b, a)
+
+
+def random_anti_latin(rng, d):
+    while True:
+        rows = [[rng.randrange(d) for _ in range(d)] for _ in range(d)]
+        if is_anti_latin(rows):
+            return AntiLatinSquare.from_rows(rows)
+
+
+def sample_pairs(rng, d, count):
+    """Random pairs, and relabeled compatible pairs with one cell redrawn or not.
+
+    Uniform random pairs are almost never compatible, so most samples
+    start from a known decodable pair and may or may not stay compatible.
+    """
+    base = reference_decodable_pair(d) if d in (3, 4) else find_decodable_pair(d).pair
+    pairs = []
+    while len(pairs) < count:
+        if rng.random() < 0.25:
+            pairs.append((random_anti_latin(rng, d), random_anti_latin(rng, d)))
+            continue
+        a, b = (sq.relabel(rng.sample(range(d), d)) for sq in base)
+        rows = [list(r) for r in b.rows]
+        if rng.random() < 0.5:
+            rows[rng.randrange(d)][rng.randrange(d)] = rng.randrange(d)
+        if is_anti_latin(rows):
+            pairs.append((a, AntiLatinSquare.from_rows(rows)))
+    return pairs
+
+
+class TestConflictMask:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_disjointness_matches_reference_predicates(self, d):
+        rng = random.Random(3000 + d)
+        outcomes = set()
+        for a, b in sample_pairs(rng, d, 200):
+            for mode, predicate in (("decodable", is_decodable_pair),
+                                    ("one-to-one", is_one_to_one_pair)):
+                disjoint = not conflict_mask(a, mode) & conflict_mask(b, mode)
+                assert disjoint == predicate(a, b)
+                assert disjoint == predicate(b, a)
+                outcomes.add((mode, disjoint))
+        assert ("decodable", True) in outcomes and ("decodable", False) in outcomes
+
+    def test_constrained_pair_counts(self):
+        sq = AntiLatinSquare.from_rows([[0] * 3 for _ in range(3)])
+        assert conflict_mask(sq, "decodable") == (1 << 27) - 1
+        assert conflict_mask(sq, "one-to-one") == (1 << 36) - 1
+
+    def test_no_mask_is_zero(self, d3_catalog):
+        for mode in ("decodable", "one-to-one"):
+            for sq in d3_catalog:
+                assert conflict_mask(sq, mode) != 0
+        rng = random.Random(77)
+        for d in (2, 4, 5):
+            for _ in range(50):
+                sq = random_anti_latin(rng, d)
+                assert conflict_mask(sq, "decodable") != 0
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            conflict_mask(AntiLatinSquare.from_rows(REF3_A), "orthogonal")
+
+    @pytest.mark.parametrize("mode, predicate", [
+        ("decodable", is_decodable_pair), ("one-to-one", is_one_to_one_pair)])
+    def test_graph_matches_reference_on_a_sample(
+            self, d3_catalog, d3_decodable_adj, d3_one_to_one_adj, mode, predicate):
+        # every pair inside the sample, which holds the one-to-one
+        # reference pair; the frozen edge totals of TestOpenQuestionReport
+        # cover the rest of the graph
+        adj = d3_decodable_adj if mode == "decodable" else d3_one_to_one_adj
+        sample = random.Random(1500).sample(range(len(d3_catalog)), 148)
+        sample += [d3_catalog.index(sq) for sq in reference_decodable_pair(3)]
+        edges = 0
+        for i, j in combinations(sample, 2):
+            expected = predicate(d3_catalog[i], d3_catalog[j])
+            assert adj[i] >> j & 1 == adj[j] >> i & 1 == expected
+            edges += expected
+        assert edges > 0
+
+    def test_graph_has_no_self_loops(self, d3_decodable_adj, d3_one_to_one_adj):
+        for adj in (d3_decodable_adj, d3_one_to_one_adj):
+            assert all(not row >> i & 1 for i, row in enumerate(adj))
+
+    def test_graph_rejects_size_mismatch(self):
+        with pytest.raises(ValueError):
+            compatibility_graph([AntiLatinSquare.from_rows(REF4_A)], 3, "decodable")
 
 
 class TestEnumeration:
@@ -234,7 +329,7 @@ class TestMaxMutualSet:
             assert result.size == 1
             assert result.exact
 
-    def test_d3_exact_one_to_one(self, d3_catalog, d3_one_to_one_adj):
+    def test_d3_exact_one_to_one(self):
         result = max_mutual_set(3, "one-to-one", "exact")
         assert result.exact
         assert result.size >= 1
@@ -262,6 +357,12 @@ class TestMaxMutualSet:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             max_mutual_set(3, "orthogonal", "exact")
+
+    @pytest.mark.parametrize("method", ["exact", "heuristic"])
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_d_below_two_rejected(self, d, method):
+        with pytest.raises(ValueError):
+            max_mutual_set(d, "decodable", method)
 
 
 class TestOpenQuestionReport:

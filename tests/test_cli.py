@@ -147,6 +147,30 @@ class TestExitCodes:
         assert code == 2
         assert "no decodable anti-Latin pair exists for d=2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("antilatin", "maxset", "--d", "1"),
+        ("antilatin", "maxset", "--d", "0"),
+        ("antilatin", "maxset", "--d", "-1"),
+        ("antilatin", "maxset", "--d", "0", "--method", "heuristic"),
+        ("antilatin", "maxset", "--d", "1", "--method", "heuristic"),
+    ])
+    def test_maxset_d_below_two_is_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "d must be >= 2" in err
+
+    @pytest.mark.parametrize("z, m", [("7", "0"), ("0", "-1")])
+    def test_xi_outside_zd_is_2(self, capsys, tmp_path, z, m):
+        a, b = reference_decodable_pair(3)
+        pa, pb = tmp_path / "a.sq", tmp_path / "b.sq"
+        pa.write_text(a.to_text())
+        pb.write_text(b.to_text())
+        code, out, err = run(capsys, "antilatin", "xi", "--a", str(pa),
+                             "--b", str(pb), "--z", z, "--m", m)
+        assert code == 2
+        assert out == ""
+        assert "range(3)" in err
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
