@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z_d and prime fields, matrices, and MDS generators.
+"""Exact residue matrices over Z_d, primality, and MDS generators over F_q.
 
 Everything here is integer residue arithmetic: no floating point is used
 anywhere in this module.  Determinants are computed with fraction-free
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def is_prime(n: int) -> bool:
@@ -28,62 +27,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A canonical residue in Z_d (0 <= value < modulus, modulus >= 2)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "RingElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return type(self)(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return type(self)(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return type(self)(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "RingElement":
-        return type(self)(-self.value, self.modulus)
-
-    def is_invertible(self) -> bool:
-        return gcd(self.value, self.modulus) == 1
-
-    def invert(self) -> Optional["RingElement"]:
-        """Multiplicative inverse, or None when gcd(value, modulus) > 1.
-
-        Non-invertibility is a queryable outcome, not an error: zero
-        divisors of Z_d are ordinary citizens in the codes built on top.
-        """
-        if not self.is_invertible():
-            return None
-        return type(self)(pow(self.value, -1, self.modulus), self.modulus)
-
-
-@dataclass(frozen=True)
-class PrimeFieldElement(RingElement):
-    """A residue in F_q with q prime; every nonzero element is invertible."""
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)

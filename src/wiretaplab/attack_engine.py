@@ -32,6 +32,7 @@ literally; they are the reference the optimiser is tested against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .anti_latin import find_decodable_pair, reference_decodable_pair
 from .errors import BudgetError
-from .info_theory import JointDistribution, _entropy_of_weights, _project
+from .info_theory import JointDistribution, _entropy_of_weights, _independent, _project
 from .onehop_codes import (
     OneHopCode,
     anti_latin_code,
@@ -898,19 +899,10 @@ def check_extended_two_shot_secrecy(code: OneHopCode) -> bool:
         m, scrambles = key[0], key[1:]
         atoms.append((m, code.first_layer_symbols(m, scrambles)))
 
-    def independent(pairs: Iterable[tuple[int, int]]) -> bool:
-        weights: dict[tuple[int, int], int] = {}
-        for k in pairs:
-            weights[k] = weights.get(k, 0) + 1
-        total = sum(weights.values())
-        wm = _project(weights, (0,))
-        wv = _project(weights, (1,))
-        return all(w * total == wm[(m,)] * wv[(v,)]
-                   for (m, v), w in weights.items())
-
     for i1 in (1, 2):
         p1 = i1 - 1
-        if not independent((m, first[p1]) for m, first in atoms):
+        if not _independent(Counter((m, first[p1]) for m, first in atoms),
+                            len(atoms), (0,), (1,)):
             return False
         for i2 in (1, 2):
             p2 = 2 + i2 - 1
@@ -918,7 +910,8 @@ def check_extended_two_shot_secrecy(code: OneHopCode) -> bool:
                 slice_a = [(m, first) for m, first in atoms if first[p1] == a]
                 if not slice_a:
                     continue
-                if not independent((m, first[p2]) for m, first in slice_a):
+                if not _independent(Counter((m, first[p2]) for m, first in slice_a),
+                                    len(slice_a), (0,), (1,)):
                     return False
                 for a2 in range(d):
                     slice_a2 = [(m, first) for m, first in slice_a
@@ -935,6 +928,7 @@ def check_extended_two_shot_secrecy(code: OneHopCode) -> bool:
                                 y34 = code.relay_output(tuple(relay_in), lp)
                                 outs.append((m, y34))
                         for col in (0, 1):
-                            if not independent((m, y34[col]) for m, y34 in outs):
+                            if not _independent(Counter((m, y34[col]) for m, y34 in outs),
+                                                len(outs), (0,), (1,)):
                                 return False
     return True

@@ -1,10 +1,13 @@
 """Exact joint distributions over named finite variables.
 
-Probabilities are stored as exact rationals.  Entropies are evaluated in
-double precision from the exact probabilities (base-2 logs), while every
-support-style question (is this variable a function of that view, are
-these views independent) is answered by exact integer comparisons, never
-by float thresholds.
+A distribution is stored as positive integer weights over its support,
+divided by their gcd, together with their total; a probability is a
+weight over the total.  Entropies are evaluated in double precision from
+those integers (base-2 logs), while every support-style question (is
+this variable a function of that view, are these views independent) is
+answered by exact integer comparisons, never by float thresholds.
+Fractions appear only at the edges: the probability-table constructor,
+the `table` view and the JSON form.
 """
 
 from __future__ import annotations
@@ -16,57 +19,83 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from .errors import BudgetError
+
 Names = Union[str, Iterable[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointDistribution:
-    """Immutable probability table over an ordered list of named variables.
+    """Immutable distribution over an ordered list of named variables.
 
-    variables: tuple of (name, alphabet size); every table key is a tuple
-    of integers inside the declared alphabets.  Probabilities are positive
-    Fractions summing exactly to 1 (zero entries are dropped).
+    variables: tuple of (name, alphabet size); every support key is a
+    tuple of integers inside the declared alphabets.  weights maps each
+    support key to a positive int, the weights have gcd 1, and total is
+    their sum.  JointDistribution(variables, table) takes exact
+    probabilities summing to 1; from_weights takes integer weights.
     """
 
     variables: tuple[tuple[str, int], ...]
-    table: Mapping[tuple[int, ...], Fraction]
+    weights: Mapping[tuple[int, ...], int]
+    total: int
 
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        for _, size in self.variables:
-            if size < 1:
-                raise ValueError("alphabet sizes must be >= 1")
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        total = Fraction(0)
-        for key, p in self.table.items():
-            key = tuple(key)
-            if len(key) != len(self.variables):
-                raise ValueError(f"key {key} has wrong arity")
-            for v, (name, size) in zip(key, self.variables):
-                if not 0 <= v < size:
-                    raise ValueError(f"value {v} outside alphabet of {name}")
-            p = Fraction(p)
-            if p < 0:
-                raise ValueError("negative probability")
-            total += p
-            if p > 0:
-                cleaned[key] = p
+    def __init__(self, variables: Sequence[tuple[str, int]],
+                 table: Mapping[tuple[int, ...], Fraction]) -> None:
+        probs = {key: Fraction(p) for key, p in table.items()}
+        if any(p < 0 for p in probs.values()):
+            raise ValueError("negative probability")
+        total = sum(probs.values(), Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "table", cleaned)
+        # over the lcm of the reduced denominators the weights have gcd 1
+        denom = math.lcm(*(p.denominator for p in probs.values()))
+        self._store(variables, {key: p.numerator * (denom // p.denominator)
+                                for key, p in probs.items()})
 
     @classmethod
     def from_weights(cls,
                      variables: Sequence[tuple[str, int]],
                      weights: Mapping[tuple[int, ...], int]) -> "JointDistribution":
-        """Build from nonnegative integer weights, normalized exactly."""
-        total = sum(weights.values())
-        if total <= 0:
+        """Build from nonnegative int weights; zeros dropped, gcd divided out."""
+        dist = cls.__new__(cls)
+        dist._store(variables, weights)
+        return dist
+
+    def _store(self, variables: Sequence[tuple[str, int]],
+               weights: Mapping[tuple[int, ...], int]) -> None:
+        variables = tuple(variables)
+        names = [n for n, _ in variables]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names")
+        if any(size < 1 for _, size in variables):
+            raise ValueError("alphabet sizes must be >= 1")
+        cleaned: dict[tuple[int, ...], int] = {}
+        for key, w in weights.items():
+            key = tuple(key)
+            if len(key) != len(variables):
+                raise ValueError(f"key {key} has wrong arity")
+            for v, (name, size) in zip(key, variables):
+                if not 0 <= v < size:
+                    raise ValueError(f"value {v} outside alphabet of {name}")
+            if not isinstance(w, int):
+                raise ValueError(f"weight {w!r} is not an int")
+            if w < 0:
+                raise ValueError(f"negative weight {w}")
+            if w:
+                cleaned[key] = w
+        if not cleaned:
             raise ValueError("weights must have positive total")
-        table = {k: Fraction(w, total) for k, w in weights.items() if w > 0}
-        return cls(tuple(variables), table)
+        g = math.gcd(*cleaned.values())
+        if g > 1:
+            cleaned = {key: w // g for key, w in cleaned.items()}
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "weights", cleaned)
+        object.__setattr__(self, "total", sum(cleaned.values()))
+
+    @property
+    def table(self) -> dict[tuple[int, ...], Fraction]:
+        """The support as exact probabilities (a fresh dict)."""
+        return {key: Fraction(w, self.total) for key, w in self.weights.items()}
 
     @classmethod
     def uniform(cls, variables: Sequence[tuple[str, int]]) -> "JointDistribution":
@@ -78,9 +107,9 @@ class JointDistribution:
         """Independent product of two distributions on disjoint variables."""
         if {n for n, _ in a.variables} & {n for n, _ in b.variables}:
             raise ValueError("variable names overlap")
-        table = {ka + kb: pa * pb
-                 for ka, pa in a.table.items() for kb, pb in b.table.items()}
-        return cls(a.variables + b.variables, table)
+        weights = {ka + kb: wa * wb
+                   for ka, wa in a.weights.items() for kb, wb in b.weights.items()}
+        return cls.from_weights(a.variables + b.variables, weights)
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
@@ -110,14 +139,6 @@ def _positions(dist: JointDistribution, names: Names) -> tuple[int, ...]:
     return tuple(i for i, n in enumerate(declared) if n in wanted)
 
 
-def _weights(dist: JointDistribution) -> tuple[dict[tuple[int, ...], int], int]:
-    """Table as exact integer weights over a common denominator."""
-    denom = 1
-    for p in dist.table.values():
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    return {k: int(p * denom) for k, p in dist.table.items()}, denom
-
-
 def _project(weights: Mapping[tuple[int, ...], int],
              positions: Sequence[int]) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
@@ -141,11 +162,8 @@ def marginal(dist: JointDistribution, names: Names) -> JointDistribution:
     pos = _positions(dist, names)
     if not pos:
         raise ValueError("marginal needs at least one variable")
-    table: dict[tuple[int, ...], Fraction] = {}
-    for key, p in dist.table.items():
-        sub = tuple(key[i] for i in pos)
-        table[sub] = table.get(sub, Fraction(0)) + p
-    return JointDistribution(tuple(dist.variables[i] for i in pos), table)
+    return JointDistribution.from_weights(tuple(dist.variables[i] for i in pos),
+                                          _project(dist.weights, pos))
 
 
 def entropy(dist: JointDistribution, names: Names) -> float:
@@ -153,8 +171,7 @@ def entropy(dist: JointDistribution, names: Names) -> float:
     pos = _positions(dist, names)
     if not pos:
         raise ValueError("entropy needs a nonempty variable set")
-    weights, total = _weights(dist)
-    return _entropy_of_weights(_project(weights, pos), total)
+    return _entropy_of_weights(_project(dist.weights, pos), dist.total)
 
 
 def conditional_entropy(dist: JointDistribution, target: Names, given: Names) -> float:
@@ -163,7 +180,7 @@ def conditional_entropy(dist: JointDistribution, target: Names, given: Names) ->
     gpos = _positions(dist, given)
     if not tpos:
         raise ValueError("conditional entropy needs a nonempty target")
-    weights, total = _weights(dist)
+    weights, total = dist.weights, dist.total
     joint = _entropy_of_weights(_project(weights, tuple(sorted(set(tpos + gpos)))), total)
     if not gpos:
         return joint
@@ -178,20 +195,21 @@ def mutual_information(dist: JointDistribution, a: Names, b: Names) -> float:
         raise ValueError("variable sets overlap")
     if not apos or not bpos:
         raise ValueError("both variable sets must be nonempty")
-    weights, total = _weights(dist)
+    weights, total = dist.weights, dist.total
     ha = _entropy_of_weights(_project(weights, apos), total)
     hb = _entropy_of_weights(_project(weights, bpos), total)
     hab = _entropy_of_weights(_project(weights, tuple(sorted(apos + bpos))), total)
     return ha + hb - hab
 
 
-def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
-    """Exact independence test: joint weights factor into the marginals."""
-    apos = _positions(dist, a)
-    bpos = _positions(dist, b)
-    if set(apos) & set(bpos):
-        raise ValueError("variable sets overlap")
-    weights, total = _weights(dist)
+def _independent(weights: Mapping[tuple[int, ...], int], total: int,
+                 apos: Sequence[int], bpos: Sequence[int]) -> bool:
+    """Exact test that weights over the variables apos + bpos factor.
+
+    apos and bpos together must cover every key position, so each key is
+    one (a, b) cell: w * total == w_a * w_b for every cell of the support
+    (the cells off the support then have w_a * w_b == 0 as well).
+    """
     wa = _project(weights, apos)
     wb = _project(weights, bpos)
     for key, w in weights.items():
@@ -202,7 +220,18 @@ def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
     return True
 
 
-def is_function_of(dist: JointDistribution, target: str, given: Names) -> bool:
+def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
+    """Exact independence test: the (a, b) weights factor into the marginals."""
+    apos = _positions(dist, a)
+    bpos = _positions(dist, b)
+    if set(apos) & set(bpos):
+        raise ValueError("variable sets overlap")
+    n = len(apos)
+    return _independent(_project(dist.weights, apos + bpos), dist.total,
+                        range(n), range(n, n + len(bpos)))
+
+
+def is_function_of(dist: JointDistribution, target: Names, given: Names) -> bool:
     """True iff the target is determined by the given variables on the support.
 
     Equivalent to H(target | given) = 0, decided exactly: every positive-
@@ -211,12 +240,12 @@ def is_function_of(dist: JointDistribution, target: str, given: Names) -> bool:
     """
     tpos = _positions(dist, target)
     gpos = _positions(dist, given)
-    seen: dict[tuple[int, ...], int] = {}
-    for key in dist.table:
-        gkey = tuple(key[i] for i in gpos)
-        tval = key[tpos[0]]
-        prior = seen.setdefault(gkey, tval)
-        if prior != tval:
+    if not tpos:
+        raise ValueError("is_function_of needs a nonempty target")
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for key in dist.weights:
+        tval = tuple(key[i] for i in tpos)
+        if seen.setdefault(tuple(key[i] for i in gpos), tval) != tval:
             return False
     return True
 
@@ -269,7 +298,7 @@ def check_han_collection(dist: JointDistribution,
 
     groups = _group_positions(dist, y_groups)
     gpos = _positions(dist, given)
-    weights, total = _weights(dist)
+    weights, total = dist.weights, dist.total
     h_given = _entropy_of_weights(_project(weights, gpos), total) if gpos else 0.0
 
     cache: dict[tuple[int, ...], float] = {}
@@ -305,11 +334,23 @@ def check_han_subsets(dist: JointDistribution,
     return check_han_collection(dist, y_groups, given, collection, comb(k - 1, r - 1))
 
 
+# every cell of a random distribution is drawn, so its size is the budget
+_RANDOM_CELL_CAP = 1 << 16
+
+
 def random_rational_distribution(rng,
                                  variables: Sequence[tuple[str, int]],
                                  max_weight: int = 32,
                                  zero_share: float = 0.25) -> JointDistribution:
-    """Seeded random distribution with exact rational probabilities."""
+    """Seeded random distribution with exact rational probabilities.
+
+    Raises BudgetError, before drawing anything, when the variables span
+    more than _RANDOM_CELL_CAP cells.
+    """
+    cells = math.prod(size for _, size in variables)
+    if cells > _RANDOM_CELL_CAP:
+        raise BudgetError(
+            f"{cells} cells exceed the cap of {_RANDOM_CELL_CAP} for a random distribution")
     keys = list(product(*(range(size) for _, size in variables)))
     weights = {}
     for key in keys:

@@ -134,6 +134,12 @@ class TestExitCodes:
         assert code == 2
         assert "FILE is required" in err
 
+    def test_han_cell_budget_is_3(self, capsys):
+        # 2^65 cells: the cap is checked before any cell is drawn
+        code, _, err = run(capsys, "han", "--k", "64", "--samples", "1")
+        assert code == 3
+        assert "budget" in err
+
     def test_han_without_samples_is_2(self, capsys):
         code, _, err = run(capsys, "han", "--samples", "0")
         assert code == 2

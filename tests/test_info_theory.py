@@ -1,12 +1,17 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
     JointDistribution,
+    _entropy_of_weights,
+    _project,
     check_han_collection,
     check_han_subsets,
     conditional_entropy,
@@ -62,6 +67,33 @@ class TestConstruction:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             JointDistribution.uniform((("A", 2), ("A", 2)))
+
+    @pytest.mark.parametrize("bad", [
+        {(0,): -1, (1,): 3},
+        {(0,): 1.0, (1,): 1},
+        {(0,): Fraction(1, 2), (1,): 1},
+        {(0,): 0, (1,): 0},
+        {},
+    ])
+    def test_from_weights_rejects(self, bad):
+        with pytest.raises(ValueError):
+            JointDistribution.from_weights((("A", 2),), bad)
+
+    def test_negative_weight_named_in_error(self):
+        with pytest.raises(ValueError, match="negative"):
+            JointDistribution.from_weights((("A", 2),), {(0,): -1, (1,): 3})
+
+    def test_weights_divided_by_gcd(self):
+        d = JointDistribution.from_weights((("A", 3),), {(0,): 4, (1,): 0, (2,): 6})
+        assert d.weights == {(0,): 2, (2,): 3}
+        assert d.total == 5
+        assert d.table == {(0,): Fraction(2, 5), (2,): Fraction(3, 5)}
+
+    def test_fraction_table_to_weights(self):
+        d = JointDistribution((("A", 3),), {(0,): Fraction(1, 6), (1,): Fraction(1, 2),
+                                            (2,): Fraction(1, 3)})
+        assert d.weights == {(0,): 1, (1,): 3, (2,): 2}
+        assert d.total == 6
 
     def test_json_round_trip(self):
         d = standard_code_first_view()
@@ -142,6 +174,16 @@ class TestMutualInformation:
             assert ab == pytest.approx(ba, abs=1e-12)
             assert ab >= -1e-12
 
+    def test_variables_outside_both_sets_ignored(self):
+        # A and B are independent uniform bits; C = A xor B is not asked about
+        d = JointDistribution.from_weights(
+            (("A", 2), ("B", 2), ("C", 2)),
+            {(a, b, a ^ b): 1 for a, b in product(range(2), repeat=2)})
+        assert is_independent(d, "A", "B")
+        assert not is_independent(d, "A", ("B", "C"))
+        assert is_independent(JointDistribution.uniform(
+            (("A", 2), ("B", 2), ("C", 2))), "A", "C")
+
     def test_zero_for_explicit_products(self):
         rng = random.Random(12)
         for _ in range(30):
@@ -168,6 +210,20 @@ class TestIsFunctionOf:
                               {(1, 0): H, (1, 1): H})
         assert is_function_of(d, "A", ())
         assert not is_function_of(d, "B", ())
+
+    def test_target_of_several_variables(self):
+        # A = C, B an independent bit: (A, B) is not a function of C
+        d = JointDistribution.from_weights(
+            (("A", 2), ("B", 2), ("C", 2)),
+            {(c, b, c): 1 for b, c in product(range(2), repeat=2)})
+        assert conditional_entropy(d, ("A", "B"), "C") == pytest.approx(1.0, abs=1e-12)
+        assert not is_function_of(d, ("A", "B"), "C")
+        assert is_function_of(d, ("A", "C"), "C")
+        assert is_function_of(d, ("A", "B"), ("B", "C"))
+
+    def test_empty_target_rejected(self):
+        with pytest.raises(ValueError):
+            is_function_of(copied_bit(), (), "B")
 
     def test_function_implies_full_information(self):
         rng = random.Random(13)
@@ -254,3 +310,105 @@ class TestEntropyMonotone:
             d = random_rational_distribution(rng, (("A", 2), ("B", 3), ("C", 2)))
             assert entropy(d, "A") <= entropy(d, ("A", "B")) + 1e-12
             assert entropy(d, ("A", "B")) <= entropy(d, ("A", "B", "C")) + 1e-12
+
+
+class TestRandomDistributionBudget:
+    def test_cell_cap_checked_before_drawing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        variables = [(f"Y{i}", 2) for i in range(64)]
+        with pytest.raises(BudgetError):
+            random_rational_distribution(rng, variables)
+        assert rng.getstate() == state
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer-weight form, over random weight tables
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@st.composite
+def weight_tables(draw):
+    """(variables, weights) on 1-4 variables, alphabets of 1-3, some zeros."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    variables = tuple((f"V{i}", s) for i, s in enumerate(sizes))
+    keys = list(product(*(range(s) for s in sizes)))
+    ws = draw(st.lists(st.integers(0, 40), min_size=len(keys), max_size=len(keys)))
+    if not any(ws):
+        ws[draw(st.integers(0, len(keys) - 1))] = 1
+    return variables, dict(zip(keys, ws))
+
+
+def fraction_weights(weights):
+    """The Fraction -> lcm path: probabilities first, then a common denominator."""
+    total = sum(weights.values())
+    table = {k: Fraction(w, total) for k, w in weights.items() if w > 0}
+    denom = math.lcm(*(p.denominator for p in table.values()))
+    return {k: int(p * denom) for k, p in table.items()}, denom
+
+
+def names_subset(draw, variables):
+    names = [n for n, _ in variables]
+    return draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+
+
+class TestIntegerWeightProperties:
+    @PROPERTY
+    @given(weight_tables(), st.integers(1, 1000))
+    def test_scaling_is_invisible(self, table, c):
+        variables, weights = table
+        d = JointDistribution.from_weights(variables, weights)
+        scaled = JointDistribution.from_weights(
+            variables, {k: c * w for k, w in weights.items()})
+        assert scaled == d
+        assert scaled.to_json_dict() == d.to_json_dict()
+
+    @PROPERTY
+    @given(weight_tables())
+    def test_json_round_trip(self, table):
+        d = JointDistribution.from_weights(*table)
+        assert JointDistribution.from_json_dict(d.to_json_dict()) == d
+
+    @PROPERTY
+    @given(st.data())
+    def test_marginal_matches_fraction_sums(self, data):
+        variables, weights = data.draw(weight_tables())
+        names = names_subset(data.draw, variables)
+        pos = [i for i, (n, _) in enumerate(variables) if n in names]
+        total = sum(weights.values())
+        oracle: dict = {}
+        for key, w in weights.items():
+            if w:
+                sub = tuple(key[i] for i in pos)
+                oracle[sub] = oracle.get(sub, Fraction(0)) + Fraction(w, total)
+        got = marginal(JointDistribution.from_weights(variables, weights), names)
+        assert got.table == oracle
+
+    @PROPERTY
+    @given(st.data())
+    def test_entropy_and_han_slack_bit_identical(self, data):
+        variables, weights = data.draw(weight_tables())
+        names = names_subset(data.draw, variables)
+        d = JointDistribution.from_weights(variables, weights)
+        old, denom = fraction_weights(weights)
+        pos = tuple(i for i, (n, _) in enumerate(variables) if n in names)
+        assert entropy(d, names) == _entropy_of_weights(_project(old, pos), denom)
+
+        # first variable conditions when there are others, the rest are Y groups
+        given_pos = (0,) if len(variables) > 1 else ()
+        ys = [i for i in range(len(variables)) if i not in given_pos]
+        k = len(ys)
+        r = data.draw(st.integers(1, k))
+        h_given = (_entropy_of_weights(_project(old, given_pos), denom)
+                   if given_pos else 0.0)
+
+        def cond_h(idx):
+            key = tuple(sorted(set(given_pos) | {ys[i] for i in idx}))
+            return _entropy_of_weights(_project(old, key), denom) - h_given
+
+        slack = (sum(cond_h(s) for s in combinations(range(k), r))
+                 - math.comb(k - 1, r - 1) * cond_h(range(k)))
+        groups = [variables[i][0] for i in ys]
+        given_names = [variables[i][0] for i in given_pos]
+        assert check_han_subsets(d, groups, given_names, r).slack == slack
