@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .anti_latin import find_decodable_pair, reference_decodable_pair
@@ -43,6 +44,7 @@ from .errors import BudgetError
 from .info_theory import JointDistribution, _entropy_of_weights, _independent, _project
 from .onehop_codes import (
     OneHopCode,
+    _determines,
     anti_latin_code,
     enumerate_onehop_codes,
     scalar_linear_code,
@@ -330,15 +332,12 @@ def _slice_objectives(slice_w: dict) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _substitutions(d: int, view: tuple[int, ...], active: bool) -> list[tuple[int, ...]]:
-    """Relay-side values some admissible map gives one view, lexicographic.
+def _substitutions(d: int, view: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Relay-side values some substitution map gives one view, lexicographic.
 
     A map sends equal observations to equal values, so two shots that
-    saw the same symbol get the same substitute; a passive tap keeps the
-    view.
+    saw the same symbol get the same substitute.
     """
-    if not active:
-        return [view]
     return [xs for xs in product(range(d), repeat=len(view))
             if view[0] != view[-1] or xs[0] == xs[-1]]
 
@@ -349,25 +348,34 @@ def _slice_laws(code: OneHopCode, first_edge: int,
 
     Returns (slices, passive, n): slices yields ((view, substituted),
     weights) one slice at a time, passive is _base_law under the
-    identity map, and n is the atom count of one attack.
+    identity map, and n is the atom count of one attack.  A passive tap
+    forwards the view itself, so the pass that builds passive also
+    builds its (view, view) slices; an active class re-evaluates the
+    relay for every admissible substitute.
     """
     pos = first_edge - 1
     relay_values = code.relay_random_values()
     passive: dict[tuple, int] = {}
     atoms_of: dict[tuple, list] = {}
+    unchanged: dict[tuple, dict] = {}
     for key in code.encoder_inputs():
         m = key[0]
         first = code.first_layer_symbols(m, key[1:])
         view = first[pos::2]  # Eve's tapped symbol in every shot
         atoms_of.setdefault(view, []).append((m, first))
+        slice_w = unchanged.setdefault(view, {})
         for lp in relay_values:
             y3, y4 = code.relay_output(first, lp)
             k = (m,) + view + (y3, y4, code.decoder[y3, y4])
             passive[k] = passive.get(k, 0) + 1
+            slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
+    n = sum(passive.values())
+    if not active:
+        return (((view, view), w) for view, w in unchanged.items()), passive, n
 
     def slices() -> Iterator[tuple]:
         for view, atoms in atoms_of.items():
-            for xs in _substitutions(code.d, view, active):
+            for xs in _substitutions(code.d, view):
                 slice_w: dict[tuple, int] = {}
                 for m, first in atoms:
                     relay_in = list(first)
@@ -378,7 +386,7 @@ def _slice_laws(code: OneHopCode, first_edge: int,
                         slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
                 yield (view, xs), slice_w
 
-    return slices(), passive, sum(passive.values())
+    return slices(), passive, n
 
 
 def _tap_candidates(code: OneHopCode, klass: AttackClass,
@@ -569,12 +577,11 @@ def _affine_relay_code(d: int, params: tuple[int, ...]) -> Optional[OneHopCode]:
     encoder = {(m, l): ((l, (m + l) % d),) for m, l in product(range(d), repeat=2)}
     relay = {(y1, y2): ((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
              for y1, y2 in product(range(d), repeat=2)}
-    support: dict[tuple[int, int], int] = {}
-    for m, l in product(range(d), repeat=2):
-        y34 = relay[(l, (m + l) % d)]
-        prior = support.setdefault(y34, m)
-        if prior != m:
-            return None
+    messages = [m for m, _ in encoder]
+    y34 = [relay[out] for (out,) in encoder.values()]
+    if not _determines(messages, y34):
+        return None
+    support = dict(zip(y34, messages))
     decoder = {k: support.get(k, 0) for k in product(range(d), repeat=2)}
     return OneHopCode(d, 1, 1, False, encoder, relay, decoder,
                       name=f"scalar-affine-{'-'.join(map(str, params))}")
@@ -729,90 +736,120 @@ class ScalarLinearSweepReport:
         return self.imperfect == 0 and self.perfect == 0
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _view_status(messages: Sequence[int], first: Sequence[int],
+                 second: Sequence[int]) -> SecurityLevel:
+    """Level of one deterministic-passive view over equally likely atoms.
+
+    messages, first and second give each atom's message and the symbols
+    Eve reads on her first- and second-layer edge.  INSECURE when the
+    view (first, second) determines M, PERFECT when M is independent of
+    it, IMPERFECT otherwise.
+    """
+    if _determines(messages, zip(first, second)):
+        return SecurityLevel.INSECURE
+    counts = Counter(zip(messages, first, second))
+    if _independent(counts, len(messages), (0,), (1, 2)):
+        return SecurityLevel.PERFECT
+    return SecurityLevel.IMPERFECT
+
+
+def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
+                         relays: Iterable[Iterable[tuple[int, int]]]) -> tuple[int, int, int]:
+    """(insecure, imperfect, perfect) counts over every correct table pair.
+
+    An encoder gives each atom (m, l) of Z_d^2, in lexicographic order,
+    its (y1, y2); a relay gives each (y1, y2), in lexicographic order,
+    its (y3, y4); each iterable is read once.  A pair is correct when M
+    is recoverable from (Y3, Y4), and its level is the worst over the
+    four deterministic-passive views (Y_i, Y_j), i in 1,2 and j in 3,4.
+
+    Each predicate is memoised, in dicts local to the call, on exactly
+    what it reads.  Correctness reads the composed (Y3, Y4) column over
+    the atoms, each (y3, y4) coded as the small int y3*d + y4; a view
+    reads its (first-layer column, second-layer column) pair, each column
+    numbered on first sight.
+    """
+    messages = [m for m, _ in product(range(d), repeat=2)]
+    coded_relays = [tuple(y3 * d + y4 for y3, y4 in rel) for rel in relays]
+    column_ids: dict[tuple[int, ...], int] = {}
+    columns: list[tuple[int, ...]] = []
+
+    def column_id(column: tuple[int, ...]) -> int:
+        if column not in column_ids:
+            column_ids[column] = len(columns)
+            columns.append(column)
+        return column_ids[column]
+
+    def second_layer_ids(y34: tuple[int, ...]) -> Optional[tuple[int, int]]:
+        if not _determines(messages, y34):
+            return None
+        return column_id(tuple(c // d for c in y34)), column_id(tuple(c % d for c in y34))
+
+    def view_rank(key: tuple[int, int]) -> int:
+        return _LEVEL_RANK[_view_status(messages, columns[key[0]], columns[key[1]])]
+
+    # composed (Y3, Y4) column -> None if M is lost, else its two column ids
+    second_layer = _Memo(second_layer_ids)
+    # (first-layer column id, second-layer column id) -> _LEVEL_RANK of the view
+    rank = _Memo(view_rank)
+    # correct pairs per _LEVEL_RANK: insecure, imperfect, perfect
+    tally = [0, 0, 0]
+    for enc in encoders:
+        compose = itemgetter(*(y1 * d + y2 for y1, y2 in enc))
+        i1 = column_id(tuple(y1 for y1, _ in enc))
+        i2 = column_id(tuple(y2 for _, y2 in enc))
+        for rel in coded_relays:
+            outs = second_layer[compose(rel)]
+            if outs is not None:
+                i3, i4 = outs
+                tally[min(rank[i1, i3], rank[i1, i4], rank[i2, i3], rank[i2, i4])] += 1
+    return tuple(tally)
+
+
 def exhaustive_scalar_linear_check(d: int) -> ScalarLinearSweepReport:
     """Sweep every affine encoder x affine relay pair under passive taps.
 
     A code is correct when M is recoverable from (Y3, Y4); it is counted
     insecure when one of the four deterministic-passive views determines
-    M exactly.  Encoders that already lose M in (Y1, Y2) cannot be
-    correct and are pruned up front.
+    M exactly, imperfect when some view still depends on M, and perfect
+    otherwise.  Encoders that already lose M in (Y1, Y2) cannot be
+    correct and are pruned up front.  The pairs are counted by
+    _passive_pair_levels, which memoises correctness on the composed
+    (Y3, Y4) column and each view's status on its (first-layer column,
+    second-layer column) pair.  An affine map composed with an affine map
+    is affine, so at d=3 the 367416 pairs share 729 composed columns and
+    675 view column pairs.
     """
     if d > 3:
         raise BudgetError("the d^12 affine sweep is out of budget for d > 3")
     atoms = list(product(range(d), repeat=2))
+    messages = [m for m, _ in atoms]
     encoders = []
     encoders_examined = 0
     for a, b, e, c, f, g in product(range(d), repeat=6):
         encoders_examined += 1
-        table = tuple(((a * m + b * l + e) % d, (c * m + f * l + g) % d)
-                      for m, l in atoms)
-        support: dict[tuple[int, int], int] = {}
-        ok = True
-        for (m, _), y12 in zip(atoms, table):
-            prior = support.setdefault(y12, m)
-            if prior != m:
-                ok = False
-                break
-        if ok:
+        table = tuple(((a * m + b * l + e) % d, (c * m + f * l + g) % d) for m, l in atoms)
+        if _determines(messages, table):
             encoders.append(table)
-    relays = [tuple(((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
-                    for y1, y2 in product(range(d), repeat=2))
-              for p, q, s0, t, u, w0 in product(range(d), repeat=6)]
-    relay_index = {pair: i for i, pair in enumerate(product(range(d), repeat=2))}
-
-    pairs = 0
-    correct = insecure = imperfect = perfect = 0
-    for enc in encoders:
-        for rel in relays:
-            pairs += 1
-            y34 = tuple(rel[relay_index[y12]] for y12 in enc)
-            support = {}
-            ok = True
-            for (m, _), out in zip(atoms, y34):
-                prior = support.setdefault(out, m)
-                if prior != m:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            correct += 1
-            # deterministic-passive views: (Y_i, Y_j) for i in 1,2; j in 3,4
-            recovered = False
-            saw_dependence = False
-            for i in (0, 1):
-                for j in (0, 1):
-                    seen: dict[tuple[int, int], int] = {}
-                    functional = True
-                    for (m, _), y12, out in zip(atoms, enc, y34):
-                        key = (y12[i], out[j])
-                        prior = seen.setdefault(key, m)
-                        if prior != m:
-                            functional = False
-                    if functional:
-                        recovered = True
-                        break
-                    counts: dict[tuple[int, int, int], int] = {}
-                    for (m, _), y12, out in zip(atoms, enc, y34):
-                        k = (m, y12[i], out[j])
-                        counts[k] = counts.get(k, 0) + 1
-                    view_counts: dict[tuple[int, int], int] = {}
-                    m_counts: dict[int, int] = {}
-                    for (m, v1, v2), w in counts.items():
-                        view_counts[(v1, v2)] = view_counts.get((v1, v2), 0) + w
-                        m_counts[m] = m_counts.get(m, 0) + w
-                    for (m, v1, v2), w in counts.items():
-                        if w * len(atoms) != m_counts[m] * view_counts[(v1, v2)]:
-                            saw_dependence = True
-                            break
-                if recovered:
-                    break
-            if recovered:
-                insecure += 1
-            elif saw_dependence:
-                imperfect += 1
-            else:
-                perfect += 1
-    return ScalarLinearSweepReport(d, encoders_examined, pairs, correct,
+    # generated, so only their compact coded form is ever held
+    relays = ([((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
+               for y1, y2 in atoms]
+              for p, q, s0, t, u, w0 in product(range(d), repeat=6))
+    insecure, imperfect, perfect = _passive_pair_levels(d, encoders, relays)
+    return ScalarLinearSweepReport(d, encoders_examined, len(encoders) * d ** 6,
+                                   insecure + imperfect + perfect,
                                    insecure, imperfect, perfect)
 
 

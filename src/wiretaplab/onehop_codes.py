@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
 
@@ -223,39 +223,47 @@ def check_correctness(code: OneHopCode) -> bool:
     return True
 
 
-def _all_maps(domain: list, codomain: list) -> Iterator[dict]:
-    for outputs in product(codomain, repeat=len(domain)):
-        yield dict(zip(domain, outputs))
+def _determines(messages: Iterable[int], outputs: Iterable) -> bool:
+    """True iff no output is shared by atoms carrying different messages.
+
+    messages and outputs list each atom's message and what some party
+    sees of it; the message is then a function of what that party sees.
+    """
+    owner: dict = {}
+    for m, out in zip(messages, outputs):
+        if owner.setdefault(out, m) != m:
+            return False
+    return True
 
 
 def enumerate_onehop_codes(d: int = 2) -> Iterator[OneHopCode]:
     """Every correct single-scramble, no-relay-randomness code over Z_2.
 
-    All 256 encoder tables times 256 relay tables are examined; a pair is
-    correct when the message is a function of (Y3, Y4), in which case the
-    decoder is read off the support (unreachable pairs decode to 0).
-    Spaces for d > 2 are out of reach and rejected.
+    Encoder and relay tables are numbered in lexicographic order (256
+    each), and codes come out in (encoder, relay) order.  The relay sees
+    only (Y1, Y2), so an encoder that gives two messages the same pair
+    has no correct relay and is skipped (172 of the 256); each of the 84
+    others is paired with all 256 relay tables.  A pair is correct when
+    the message is a function of (Y3, Y4), in which case the decoder is
+    read off the support (unreachable pairs decode to 0).  Spaces for
+    d > 2 are out of reach and rejected.
     """
     if d != 2:
         raise ValueError("enumeration is only supported for d=2")
     atoms = list(product(range(2), repeat=2))     # (m, l)
+    messages = [m for m, _ in atoms]
     pairs = list(product(range(2), repeat=2))
-    full_decoder_keys = list(product(range(2), repeat=2))
+    relays = [dict(zip(pairs, rel_out)) for rel_out in product(pairs, repeat=4)]
     for ei, enc_out in enumerate(product(pairs, repeat=4)):
+        if not _determines(messages, enc_out):
+            continue
         encoder = {atom: (out,) for atom, out in zip(atoms, enc_out)}
-        for ri, rel_out in enumerate(product(pairs, repeat=4)):
-            relay = dict(zip(pairs, rel_out))
-            support: dict[tuple[int, int], int] = {}
-            correct = True
-            for (m, l) in atoms:
-                y34 = relay[encoder[(m, l)][0]]
-                prior = support.setdefault(y34, m)
-                if prior != m:
-                    correct = False
-                    break
-            if not correct:
+        for ri, relay in enumerate(relays):
+            y34 = [relay[y12] for y12 in enc_out]
+            if not _determines(messages, y34):
                 continue
-            decoder = {k: support.get(k, 0) for k in full_decoder_keys}
+            support = dict(zip(y34, messages))
+            decoder = {k: support.get(k, 0) for k in pairs}
             yield OneHopCode(2, 1, 1, False, encoder, relay, decoder,
                              name=f"enum-e{ei:03d}-r{ri:03d}")
 

@@ -3,11 +3,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.attack_engine import (
     AttackClass,
     AttackStrategy,
+    ScalarLinearSweepReport,
     SecurityLevel,
     check_extended_two_shot_secrecy,
     classification_table,
@@ -19,7 +22,7 @@ from wiretaplab.attack_engine import (
     simulate_attack,
     table_mismatches,
 )
-from wiretaplab.attack_engine import _slice_laws
+from wiretaplab.attack_engine import _passive_pair_levels, _slice_laws, _view_status
 from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
     is_function_of,
@@ -300,6 +303,23 @@ class TestClassify:
             for xs in product(range(d), repeat=2)
             if view[0] != view[1] or xs[0] == xs[1])
 
+    def test_passive_slices_are_the_identity_slices_of_the_active_path(self):
+        # the passive path builds its slices in the pass that builds the
+        # passive law; the active path re-evaluates the relay per slice
+        rng = random.Random(4096)
+        codes = [random_code(rng, d, 1, 1, i % 2) for d in (2, 3, 4) for i in range(4)]
+        codes.append(vector_linear_code(2))
+        for code in codes:
+            for first_edge in (1, 2):
+                slices, passive, n = _slice_laws(code, first_edge, active=False)
+                slices = list(slices)
+                active_slices, active_passive, active_n = _slice_laws(
+                    code, first_edge, active=True)
+                want = {key: w for key, w in active_slices if key[0] == key[1]}
+                assert len(slices) == len(want)
+                assert dict(slices) == want, (code.name, first_edge)
+                assert (passive, n) == (active_passive, active_n)
+
     def test_active_budget(self):
         # two-shot active classes enumerate d^d maps and stop at d > 6;
         # single-shot active classes are polynomial and have no cap
@@ -350,6 +370,65 @@ class TestMonotonicity:
             assert dp <= ap + 1e-9 and ap <= aa + 1e-9, code.name
 
 
+# ---------------------------------------------------------------------------
+# verdicts do not depend on the names of symbols
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def relabel(code, wires, message):
+    """The single-shot code with the symbols of each wire and the message renamed.
+
+    wires holds one permutation of Z_d per wire Y1..Y4; message renames M.
+    Scrambles and the relay's own symbol keep their names.
+    """
+    f1, f2, f3, f4 = wires
+    encoder = {(message[key[0]],) + key[1:]: ((f1[y1], f2[y2]),)
+               for key, ((y1, y2),) in code.encoder.items()}
+    relay = {(f1[key[0]], f2[key[1]]) + key[2:]: (f3[y3], f4[y4])
+             for key, (y3, y4) in code.relay.items()}
+    decoder = {(f3[y3], f4[y4]): message[m] for (y3, y4), m in code.decoder.items()}
+    return OneHopCode(code.d, 1, code.scramble_count, code.relay_randomness,
+                      encoder, relay, decoder, name=code.name + "-relabelled")
+
+
+def renamings(d):
+    return st.lists(st.permutations(range(d)), min_size=5, max_size=5)
+
+
+def assert_same_verdicts(code, renamed):
+    for klass in (DP, AP, DA, AA):
+        verdict, again = classify(code, klass), classify(renamed, klass)
+        assert again.level is verdict.level, (code.name, klass)
+        assert again.max_leakage_bits == pytest.approx(
+            verdict.max_leakage_bits, abs=1e-9), (code.name, klass)
+
+
+@pytest.fixture(scope="module")
+def d2_codes():
+    return list(enumerate_onehop_codes(2))
+
+
+class TestRelabelling:
+    @PROPERTY
+    @given(index=st.integers(0, 11231), maps=renamings(2))
+    def test_enumerated_d2_codes(self, d2_codes, index, maps):
+        code = d2_codes[index]
+        assert_same_verdicts(code, relabel(code, maps[:4], maps[4]))
+
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32), renamings(3))
+    def test_seeded_d3_codes(self, seed, maps):
+        code = random_code(random.Random(seed), 3, 1, 1, seed % 2)
+        assert_same_verdicts(code, relabel(code, maps[:4], maps[4]))
+
+    def test_relabelling_keeps_the_code_correct(self):
+        code = standard_nonlinear_code(3)
+        renamed = relabel(code, [(1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2)], (2, 1, 0))
+        for key in renamed.encoder_inputs():
+            assert renamed.transmit(key[0], key[1:])[2] == key[0]
+
+
 @pytest.fixture(scope="module")
 def table_23():
     return classification_table([2, 3])
@@ -379,6 +458,94 @@ class TestClassificationTable:
         assert data["columns"] == ["deterministic-passive", "active", "adaptive"]
 
 
+def literal_pair_levels(d, encoders, relays):
+    """Literal oracle: (insecure, imperfect, perfect) over correct table pairs.
+
+    Tables are laid out as for _passive_pair_levels.  Correctness and the
+    four deterministic-passive views are re-derived from scratch for
+    each pair, with no memo.
+    """
+    atoms = list(product(range(d), repeat=2))
+    relay_index = {pair: i for i, pair in enumerate(product(range(d), repeat=2))}
+    insecure = imperfect = perfect = 0
+    for enc in encoders:
+        for rel in relays:
+            y34 = tuple(rel[relay_index[y12]] for y12 in enc)
+            support = {}
+            ok = True
+            for (m, _), out in zip(atoms, y34):
+                prior = support.setdefault(out, m)
+                if prior != m:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            # deterministic-passive views: (Y_i, Y_j) for i in 1,2; j in 3,4
+            recovered = False
+            saw_dependence = False
+            for i in (0, 1):
+                for j in (0, 1):
+                    seen = {}
+                    functional = True
+                    for (m, _), y12, out in zip(atoms, enc, y34):
+                        key = (y12[i], out[j])
+                        prior = seen.setdefault(key, m)
+                        if prior != m:
+                            functional = False
+                    if functional:
+                        recovered = True
+                        break
+                    counts = {}
+                    for (m, _), y12, out in zip(atoms, enc, y34):
+                        k = (m, y12[i], out[j])
+                        counts[k] = counts.get(k, 0) + 1
+                    view_counts = {}
+                    m_counts = {}
+                    for (m, v1, v2), w in counts.items():
+                        view_counts[(v1, v2)] = view_counts.get((v1, v2), 0) + w
+                        m_counts[m] = m_counts.get(m, 0) + w
+                    for (m, v1, v2), w in counts.items():
+                        if w * len(atoms) != m_counts[m] * view_counts[(v1, v2)]:
+                            saw_dependence = True
+                            break
+                if recovered:
+                    break
+            if recovered:
+                insecure += 1
+            elif saw_dependence:
+                imperfect += 1
+            else:
+                perfect += 1
+    return insecure, imperfect, perfect
+
+
+def brute_force_scalar_linear_sweep(d):
+    """The affine sweep pair by pair: every encoder, every relay, no memo."""
+    atoms = list(product(range(d), repeat=2))
+    encoders = []
+    encoders_examined = 0
+    for a, b, e, c, f, g in product(range(d), repeat=6):
+        encoders_examined += 1
+        table = tuple(((a * m + b * l + e) % d, (c * m + f * l + g) % d)
+                      for m, l in atoms)
+        support = {}
+        ok = True
+        for (m, _), y12 in zip(atoms, table):
+            prior = support.setdefault(y12, m)
+            if prior != m:
+                ok = False
+                break
+        if ok:
+            encoders.append(table)
+    relays = [tuple(((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
+                    for y1, y2 in product(range(d), repeat=2))
+              for p, q, s0, t, u, w0 in product(range(d), repeat=6)]
+    insecure, imperfect, perfect = literal_pair_levels(d, encoders, relays)
+    return ScalarLinearSweepReport(d, encoders_examined, len(encoders) * len(relays),
+                                   insecure + imperfect + perfect,
+                                   insecure, imperfect, perfect)
+
+
 class TestScalarLinearSweep:
     def test_d2_every_correct_affine_code_is_insecure(self):
         report = exhaustive_scalar_linear_check(2)
@@ -387,9 +554,57 @@ class TestScalarLinearSweep:
         assert report.insecure == 1440
         assert report.all_insecure
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memoised_sweep_matches_literal_oracle(self, d):
+        assert exhaustive_scalar_linear_check(d) == brute_force_scalar_linear_sweep(d)
+
+    def test_memos_on_every_d2_table_pair(self):
+        # affine pairs are all insecure, so they cannot tell a memo that
+        # mixes up views apart; all 256 x 256 d=2 tables include the 128
+        # correct codes a deterministic-passive tap cannot break (the
+        # standard-equivalent ones) and the encoders that lose M
+        tables = [list(t) for t in product(product(range(2), repeat=2), repeat=4)]
+        levels = _passive_pair_levels(2, tables, tables)
+        assert levels == literal_pair_levels(2, tables, tables)
+        assert levels == (11232 - 128, 128, 0)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             exhaustive_scalar_linear_check(4)
+
+
+class TestViewStatus:
+    # four equally likely atoms (m, l) over Z_2, in product order
+    M = (0, 0, 1, 1)
+    L = (0, 1, 0, 1)
+    ZERO = (0, 0, 0, 0)
+
+    def test_view_that_pins_m_is_insecure(self):
+        assert _view_status(self.M, self.L, self.M) is SecurityLevel.INSECURE
+        assert _view_status(self.M, self.M, self.ZERO) is SecurityLevel.INSECURE
+        # M = first + second
+        plus = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
+        assert _view_status(self.M, self.L, plus) is SecurityLevel.INSECURE
+
+    def test_view_independent_of_m_is_perfect(self):
+        assert _view_status(self.M, self.L, self.L) is SecurityLevel.PERFECT
+        assert _view_status(self.M, self.L, self.ZERO) is SecurityLevel.PERFECT
+        assert _view_status(self.M, self.ZERO, self.ZERO) is SecurityLevel.PERFECT
+
+    def test_view_that_leaks_part_of_m_is_imperfect(self):
+        # the view (M * L) is 1 only when M = 1
+        product_ml = tuple(m * l for m, l in zip(self.M, self.L))
+        assert _view_status(self.M, product_ml, self.ZERO) is SecurityLevel.IMPERFECT
+        assert _view_status(self.M, self.ZERO, product_ml) is SecurityLevel.IMPERFECT
+
+    def test_both_view_columns_are_read(self):
+        # the same second-layer column with different first-layer columns
+        # gives each of the three outcomes
+        second = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
+        assert _view_status(self.M, self.L, second) is SecurityLevel.INSECURE
+        assert _view_status(self.M, self.ZERO, second) is SecurityLevel.PERFECT
+        assert _view_status(self.M, tuple(m * l for m, l in zip(self.M, self.L)),
+                            second) is SecurityLevel.IMPERFECT
 
 
 class TestLinearActiveReduction:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "han", "--k", "64", "--samples", "1")
         assert code == 3
         assert "budget" in err
+
+    def test_han_time_budget_is_3(self, capsys):
+        # 1000 x C(15, 7) x 2^16 projected cells: days of work, refused
+        # before the first sample is drawn
+        start = time.perf_counter()
+        code, out, err = run(capsys, "han", "--k", "15", "--r", "7")
+        assert code == 3
+        assert "budget" in err and "projected cells" in err
+        assert out == ""
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("k, r", [(-2, 2), (3, 0), (3, 4)])
+    def test_han_r_outside_one_to_k_is_2(self, capsys, k, r):
+        code, _, err = run(capsys, "han", "--k", str(k), "--r", str(r))
+        assert code == 2
+        assert "1 <= --r <= --k" in err
 
     def test_han_without_samples_is_2(self, capsys):
         code, _, err = run(capsys, "han", "--samples", "0")

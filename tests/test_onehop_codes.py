@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -23,6 +24,8 @@ from wiretaplab.onehop_codes import (
 
 # fixed by the d=2 exhaustive enumeration (256 x 256 encoder/relay pairs)
 ENUM_CORRECT_COUNT_D2 = 11232
+# sha256 of the enumerated code names joined by newlines, in order
+ENUM_NAMES_SHA256_D2 = "169f87fa81c7ca0d2a5c2947eb24126fafe928c3c886602967fc01d2425e73ab"
 
 
 def view_joint(code, view_symbols, d):
@@ -182,6 +185,30 @@ class TestEnumeration:
     def test_sample_is_correct(self, codes):
         for code in codes[::97]:
             assert check_correctness(code)
+
+    def test_names_and_order_pinned(self, codes):
+        names = "\n".join(code.name for code in codes)
+        assert hashlib.sha256(names.encode()).hexdigest() == ENUM_NAMES_SHA256_D2
+
+    def test_encoders_without_codes_have_no_correct_relay(self, codes):
+        # brute force over all 256 relay tables of every encoder that
+        # yields no code: each relay maps two messages to one (Y3, Y4)
+        atoms = list(product(range(2), repeat=2))
+        pairs = list(product(range(2), repeat=2))
+        with_codes = {code.name.split("-r")[0] for code in codes}
+        without = 0
+        for ei, enc_out in enumerate(product(pairs, repeat=4)):
+            if f"enum-e{ei:03d}" in with_codes:
+                continue
+            without += 1
+            for rel_out in product(pairs, repeat=4):
+                relay = dict(zip(pairs, rel_out))
+                messages_at = {}
+                for (m, _), y12 in zip(atoms, enc_out):
+                    messages_at.setdefault(relay[y12], set()).add(m)
+                assert any(len(ms) > 1 for ms in messages_at.values()), (ei, rel_out)
+        # the encoders that give two messages one (Y1, Y2)
+        assert without == 172
 
     def test_d3_rejected(self):
         with pytest.raises(ValueError):
