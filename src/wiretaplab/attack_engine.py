@@ -14,17 +14,25 @@ laws are exact: atoms are uniform over (message, scrambles, relay
 randomness).
 
 classify covers every strategy of a class with one optimiser over
-per-observation slices.  A substitution map only changes the relay
-input of atoms whose first observation is v, through the value it gives
-v, so the law of (M, Y3, Y4) given the view splits into one slice law
-per (view, admissible substituted value): d*d slices instead of d^d
-full laws.  The objective n*H(M | view, W) is a sum over slices, and each
-slice term is log2 of a ratio of integers, so strategies are ranked by
-exact integer cross-multiplication.  Single-shot codes pick each slice's
-substitute independently; a two-shot view (vA, vB) sees the map at both
-vA and vB, so two-shot active classes enumerate maps, each looking up
-cached slice terms.  Passive classes are the same optimiser with the
-identity as the only admissible map.
+per-observation slices.  The objective n*H(M | view, W) is a sum over
+slices, and each slice term is log2 of a ratio of integers, so
+strategies are ranked by exact integer cross-multiplication.
+
+A passive tap forwards the view itself, so its slices are read off three
+columns over the atoms: M, the tapped view and one second-layer column
+W.  _tap_terms turns such a column triple into its per-view terms and
+its leakage; it is memoised with a bounded size, so sweeps whose codes
+share triples pay once per distinct triple.  Passive classification,
+the witness leakage of every class, the affine pair sweep and the
+scalar-linear grid row all go through it.
+
+A substitution map only changes the relay input of atoms whose first
+observation is v, through the value it gives v, so under active attacks
+the law of (M, Y3, Y4) given the view splits into one slice law per
+(view, admissible substituted value): d*d slices instead of d^d full
+laws.  Single-shot codes pick each slice's substitute independently; a
+two-shot view (vA, vB) sees the map at both vA and vB, so two-shot
+active classes enumerate maps, each looking up cached slice terms.
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
 literally; they are the reference the optimiser is tested against.
@@ -35,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -258,15 +267,6 @@ def simulate_attack(code: OneHopCode, strategy: AttackStrategy) -> JointDistribu
 # ---------------------------------------------------------------------------
 # classification: one exact optimiser over per-observation slices
 
-def _mi_bits(weights: dict, total: int, m_index: int,
-             view_indices: tuple[int, ...]) -> float:
-    hm = _entropy_of_weights(_project(weights, (m_index,)), total)
-    hv = _entropy_of_weights(_project(weights, view_indices), total)
-    hmv = _entropy_of_weights(
-        _project(weights, tuple(sorted((m_index,) + view_indices))), total)
-    return hm + hv - hmv
-
-
 @dataclass(frozen=True)
 class SecurityVerdict:
     """Outcome of classifying one code against one attack class."""
@@ -310,6 +310,19 @@ def _edge_choice(obj: tuple, edges: tuple[int, ...]) -> tuple:
     return obj[e - 3], e
 
 
+def _level(objective: tuple[int, int], d: int, n: int) -> SecurityLevel:
+    """Level of a least objective over n atoms that carry a uniform message.
+
+    Ratio 1 means some view pins M.  n*H(M) = log2(d^n), so ratio d^n
+    means no view tells anything about M.
+    """
+    if objective[0] == objective[1]:
+        return SecurityLevel.INSECURE
+    if objective[0] == objective[1] * d ** n:
+        return SecurityLevel.PERFECT
+    return SecurityLevel.IMPERFECT
+
+
 def _slice_objectives(slice_w: dict) -> tuple[tuple[int, int], ...]:
     """n*H(M | Y3) and n*H(M | Y4) of one slice of (M, Y3, Y4) weights.
 
@@ -332,6 +345,126 @@ def _slice_objectives(slice_w: dict) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# One entry per distinct (M, tap, W) column triple.  The d=2 sweeps meet
+# a few hundred triples and the d=3 affine sweep 675, so a whole sweep
+# fits; the bound keeps a long-running process from growing without end.
+_TAP_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_TAP_MEMO_SIZE)
+def _tap_terms(messages: tuple[int, ...], tap: tuple[int, ...],
+               w: tuple[int, ...]) -> tuple[tuple[tuple, ...], float]:
+    """Every term a passive tap contributes, read off three atom columns.
+
+    messages, tap and w give each equally likely atom's message, Eve's
+    first-layer view (a two-shot view (vA, vB) coded as vA*d + vB) and
+    the symbol W on her second-layer edge, in atom order.  Returns
+    (views, mi).  views holds one (v, objective, n_v, h) per observed
+    view v, in sorted order: the slice objective n_v*H(M | v, W) as the
+    integer ratio _slice_objectives gives, the atoms n_v showing v, and
+    h = H(M, W | v) - H(W | v) in floating point.  mi is I(M; view, W)
+    in floating point.  Counts are kept in atom order, so every caller
+    sums the same floats in the same order.
+    """
+    slices: dict[int, dict] = {}
+    joint: dict[tuple[int, int, int], int] = {}
+    for m, v, x in zip(messages, tap, w):
+        pair = slices.setdefault(v, {})
+        pair[m, x] = pair.get((m, x), 0) + 1
+        joint[m, v, x] = joint.get((m, v, x), 0) + 1
+    views = []
+    for v in sorted(slices):
+        pair = slices[v]
+        n_v = sum(pair.values())
+        by_w = _project(pair, (1,))
+        num = den = 1
+        for c in by_w.values():
+            num *= c ** c
+        for c in pair.values():
+            den *= c ** c
+        h = _entropy_of_weights(pair, n_v) - _entropy_of_weights(by_w, n_v)
+        views.append((v, (num, den), n_v, h))
+    n = len(messages)
+    mi = _entropy_of_weights(_project(joint, (0,)), n) + \
+        _entropy_of_weights(_project(joint, (1, 2)), n) - _entropy_of_weights(joint, n)
+    return tuple(views), mi
+
+
+def _objective(views: Iterable[tuple]) -> tuple[int, int]:
+    """Objective of one fixed second-layer edge: the product of its view terms."""
+    num = den = 1
+    for _, obj, _, _ in views:
+        num *= obj[0]
+        den *= obj[1]
+    return num, den
+
+
+def _view_level(d: int, messages: tuple[int, ...], tap: tuple[int, ...],
+                w: tuple[int, ...]) -> SecurityLevel:
+    """Level of the deterministic-passive view (tap, W) over equally likely atoms."""
+    return _level(_objective(_tap_terms(messages, tap, w)[0]), d, len(messages))
+
+
+def _columns(code: OneHopCode, first_edge: int = 1,
+             modification: Optional[Sequence[int]] = None) -> tuple[tuple[int, ...], ...]:
+    """(M, Y1, Y2, Y3, Y4) over the atoms, column i what Eve reads on e(i).
+
+    Atoms run over encoder_inputs() x relay_random_values().  Y1 and Y2
+    hold the true first-layer symbols, a two-shot view (vA, vB) coded as
+    vA*d + vB.  The relay reads the symbols on first_edge through
+    modification in every shot; None forwards them unchanged.
+    """
+    d, pos = code.d, first_edge - 1
+    relay_values = code.relay_random_values()
+    atoms = []
+    for key in code.encoder_inputs():
+        m = key[0]
+        first = code.first_layer_symbols(m, key[1:])
+        if code.shots == 1:
+            y1, y2 = first
+        else:
+            y1, y2 = first[0] * d + first[2], first[1] * d + first[3]
+        relay_in = first
+        if modification is not None:
+            relay_in = list(first)
+            relay_in[pos::2] = [modification[v] for v in first[pos::2]]
+            relay_in = tuple(relay_in)
+        for lp in relay_values:
+            atoms.append((m, y1, y2) + code.relay_output(relay_in, lp))
+    return tuple(zip(*atoms))
+
+
+def _passive_optimum(d: int, shots: int, klass: AttackClass,
+                     columns: tuple[tuple[int, ...], ...]) -> tuple:
+    """(objective, first_edge, selector) of a passive class's first optimum.
+
+    Each tap edge reads the terms of W = Y3 and W = Y4.  A deterministic
+    selector takes e(3) unless e(4) has the strictly smaller product; an
+    adaptive one takes each view's smaller term, e(3) on ties and on
+    views no atom reaches.  e(1) wins unless e(2) is strictly smaller.
+    """
+    messages, adaptive = columns[0], klass.is_adaptive
+    best = None
+    for first_edge in (1, 2):
+        views3 = _tap_terms(messages, columns[first_edge], columns[3])[0]
+        views4 = _tap_terms(messages, columns[first_edge], columns[4])[0]
+        if adaptive:
+            selector = [3] * d ** shots
+            num = den = 1
+            for (v, obj, _, _), (_, obj4, _, _) in zip(views3, views4):
+                if _less(obj4, obj):
+                    obj, selector[v] = obj4, 4
+                num *= obj[0]
+                den *= obj[1]
+            cand = (num, den), tuple(selector)
+        else:
+            cand = _first_min([(_objective(views3), (3,) * d ** shots),
+                               (_objective(views4), (4,) * d ** shots)])
+        if best is None or _less(cand[0], best[0]):
+            best = cand[0], first_edge, cand[1]
+    return best
+
+
 def _substitutions(d: int, view: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Relay-side values some substitution map gives one view, lexicographic.
 
@@ -342,56 +475,35 @@ def _substitutions(d: int, view: tuple[int, ...]) -> list[tuple[int, ...]]:
             if view[0] != view[-1] or xs[0] == xs[-1]]
 
 
-def _slice_laws(code: OneHopCode, first_edge: int,
-                active: bool) -> tuple[Iterator[tuple], dict, int]:
+def _slice_laws(code: OneHopCode, first_edge: int) -> Iterator[tuple]:
     """Exact (M, Y3, Y4) weights of every (view, admissible substitute) slice.
 
-    Returns (slices, passive, n): slices yields ((view, substituted),
-    weights) one slice at a time, passive is _base_law under the
-    identity map, and n is the atom count of one attack.  A passive tap
-    forwards the view itself, so the pass that builds passive also
-    builds its (view, view) slices; an active class re-evaluates the
-    relay for every admissible substitute.
+    Yields ((view, substituted), weights) one slice at a time, the relay
+    re-evaluated for every admissible substitute.
     """
     pos = first_edge - 1
     relay_values = code.relay_random_values()
-    passive: dict[tuple, int] = {}
     atoms_of: dict[tuple, list] = {}
-    unchanged: dict[tuple, dict] = {}
     for key in code.encoder_inputs():
-        m = key[0]
-        first = code.first_layer_symbols(m, key[1:])
-        view = first[pos::2]  # Eve's tapped symbol in every shot
-        atoms_of.setdefault(view, []).append((m, first))
-        slice_w = unchanged.setdefault(view, {})
-        for lp in relay_values:
-            y3, y4 = code.relay_output(first, lp)
-            k = (m,) + view + (y3, y4, code.decoder[y3, y4])
-            passive[k] = passive.get(k, 0) + 1
-            slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
-    n = sum(passive.values())
-    if not active:
-        return (((view, view), w) for view, w in unchanged.items()), passive, n
-
-    def slices() -> Iterator[tuple]:
-        for view, atoms in atoms_of.items():
-            for xs in _substitutions(code.d, view):
-                slice_w: dict[tuple, int] = {}
-                for m, first in atoms:
-                    relay_in = list(first)
-                    relay_in[pos::2] = xs
-                    relay_in = tuple(relay_in)
-                    for lp in relay_values:
-                        y3, y4 = code.relay_output(relay_in, lp)
-                        slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
-                yield (view, xs), slice_w
-
-    return slices(), passive, n
+        first = code.first_layer_symbols(key[0], key[1:])
+        # Eve's tapped symbol in every shot
+        atoms_of.setdefault(first[pos::2], []).append((key[0], first))
+    for view, atoms in atoms_of.items():
+        for xs in _substitutions(code.d, view):
+            slice_w: dict[tuple, int] = {}
+            for m, first in atoms:
+                relay_in = list(first)
+                relay_in[pos::2] = xs
+                relay_in = tuple(relay_in)
+                for lp in relay_values:
+                    y3, y4 = code.relay_output(relay_in, lp)
+                    slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
+            yield (view, xs), slice_w
 
 
 def _tap_candidates(code: OneHopCode, klass: AttackClass,
                     objectives: dict) -> Iterator[tuple]:
-    """Candidate strategies of one tap edge, in canonical order.
+    """Candidate strategies of one tap edge of an active class, in canonical order.
 
     objectives maps each slice (view, substituted) to its objectives
     with W = Y3 and W = Y4.  Yields (objective, mod, edges, edge_of),
@@ -402,7 +514,7 @@ def _tap_candidates(code: OneHopCode, klass: AttackClass,
     canonically first optimum of its group, so the first least objective
     yielded belongs to the tap edge's canonical witness.
     """
-    d, active = code.d, klass.is_active
+    d = code.d
     substitutes: dict[tuple, list] = {}
     for view, xs in sorted(objectives):
         substitutes.setdefault(view, []).append(xs)
@@ -414,7 +526,7 @@ def _tap_candidates(code: OneHopCode, klass: AttackClass,
         # the smallest substitute
         group = []
         for edges, edge_of in tables:
-            mod = list(_identity(d) if not active else (0,) * d)
+            mod = [0] * d
             num = den = 1
             for view, options in substitutes.items():
                 obj, (x,) = _first_min((edge_of[view, xs][0], xs) for xs in options)
@@ -428,7 +540,7 @@ def _tap_candidates(code: OneHopCode, klass: AttackClass,
         return
     # one map serves both shots, so two-shot slices are coupled: walk the
     # maps in order and look each slice term up
-    for mod in _modifications(d, active):
+    for mod in _modifications(d, True):
         keys = [(view, tuple(mod[v] for v in view)) for view in substitutes]
         for edges, edge_of in tables:
             num = den = 1
@@ -439,35 +551,21 @@ def _tap_candidates(code: OneHopCode, klass: AttackClass,
             yield (num, den), mod, edges, edge_of
 
 
-def _witness_leakage(code: OneHopCode, witness: AttackStrategy,
-                     base: dict, n: int) -> float:
-    """Leakage of the witness in bits, by the float formula of the class.
-
-    base is the witness's _base_law.  Deterministic: I(M; view, W) from
-    entropies of the view law.  Adaptive: H(M) minus the per-view terms
-    P(v) H(M | v, W), views in lexicographic order.
-    """
-    d, s = code.d, code.shots
-    if not witness.klass.is_adaptive:
-        col = 1 + s if witness.selector[0] == 3 else 2 + s
-        view_law = _project(base, (0,) + tuple(range(1, 1 + s)) + (col,))
-        return _mi_bits(view_law, n, 0, tuple(range(1, 2 + s)))
-    by_view: dict[tuple, dict] = {}
-    for atom, w in base.items():
-        slice_w = by_view.setdefault(atom[1:1 + s], {})
-        k = (atom[0], atom[1 + s], atom[2 + s])
-        slice_w[k] = slice_w.get(k, 0) + w
-    cond = 0.0
-    for view in product(range(d), repeat=s):
-        slice_w = by_view.get(view)
-        if slice_w is None:
-            continue
-        slice_n = sum(slice_w.values())
-        pair = _project(slice_w, (0, 1 if witness.second_edge_for(view) == 3 else 2))
-        h = _entropy_of_weights(pair, slice_n) - \
-            _entropy_of_weights(_project(pair, (1,)), slice_n)
-        cond += (slice_n / n) * h
-    return _entropy_of_weights(_project(base, (0,)), n) - cond
+def _active_optimum(code: OneHopCode, klass: AttackClass) -> tuple:
+    """(objective, first_edge, modification, selector) of an active class's first optimum."""
+    best = None
+    for first_edge in (1, 2):
+        objectives = {key: _slice_objectives(w) for key, w in _slice_laws(code, first_edge)}
+        cand = _first_min(_tap_candidates(code, klass, objectives))
+        if best is None or _less(cand[0], best[0]):
+            best = cand + (first_edge,)
+    objective, mod, edges, edge_of, first_edge = best
+    selector = []
+    for view in product(range(code.d), repeat=code.shots):
+        key = (view, tuple(mod[v] for v in view))
+        # a view no atom reaches has no slice and keeps the first edge
+        selector.append(edge_of[key][1] if key in edge_of else edges[0])
+    return objective, first_edge, mod, selector
 
 
 def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
@@ -479,13 +577,20 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     objective n*H(M | view, W): it is 0 exactly when some view pins M,
     and n*H(M) exactly when no strategy leaks.
 
+    Passive classes read the objective off the column terms of each
+    (tap, W) pair (_tap_terms, a memo of bounded size); active classes
+    optimise over the (view, substitute) slices.
+
     The witness is the first maximum-leakage strategy in canonical order
     (first_edge, then modification, then selector): within a slice the
     smallest substitute, then e(3); for deterministic classes (mod, edge)
     order within a tap edge; e(1) over e(2) on ties.  A view no atom
     reaches keeps substitute 0 (identity when passive) and, in an
     adaptive selector, e(3).
-    max_leakage_bits is the witness's leakage in floating point.
+    max_leakage_bits is the witness's leakage in floating point, read
+    off the column terms of its own attack: I(M; view, W) for a
+    deterministic class, H(M) minus the per-view terms P(v) H(M | v, W)
+    in view order for an adaptive one.
 
     Two-shot active classes enumerate the d^d maps and raise BudgetError
     for d > 6.
@@ -494,30 +599,25 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
         raise BudgetError(f"two-shot active classification enumerates d^d maps; "
                           f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
     d, s = code.d, code.shots
-    best = None
-    for first_edge in (1, 2):
-        slices, passive, n = _slice_laws(code, first_edge, klass.is_active)
-        objectives = {key: _slice_objectives(w) for key, w in slices}
-        cand = _first_min(_tap_candidates(code, klass, objectives))
-        if best is None or _less(cand[0], best[0]):
-            best = cand + (passive, n, first_edge)
-    objective, mod, edges, edge_of, passive, n, first_edge = best
-    selector = []
-    for view in product(range(d), repeat=s):
-        key = (view, tuple(mod[v] for v in view))
-        # a view no atom reaches has no slice and keeps the first edge
-        selector.append(edge_of[key][1] if key in edge_of else edges[0])
-    witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
-    # M is uniform (n/d atoms per message), so n*H(M) = log2(d^n)
-    if objective[0] == objective[1]:
-        level = SecurityLevel.INSECURE
-    elif objective[0] == objective[1] * d ** n:
-        level = SecurityLevel.PERFECT
+    if klass.is_active:
+        objective, first_edge, mod, selector = _active_optimum(code, klass)
+        columns = _columns(code, first_edge, mod)
     else:
-        level = SecurityLevel.IMPERFECT
-    base = _base_law(code, first_edge, mod)[0] if klass.is_active else passive
-    leak = _witness_leakage(code, witness, base, n)
-    return SecurityVerdict(code.name, klass, level, max(leak, 0.0), witness)
+        columns = _columns(code)
+        objective, first_edge, selector = _passive_optimum(d, s, klass, columns)
+        mod = _identity(d)
+    witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
+    messages, tap, n = columns[0], columns[first_edge], len(columns[0])
+    if klass.is_adaptive:
+        views3 = _tap_terms(messages, tap, columns[3])[0]
+        views4 = _tap_terms(messages, tap, columns[4])[0]
+        cond = 0.0
+        for (v, _, n_v, h3), (_, _, _, h4) in zip(views3, views4):
+            cond += (n_v / n) * (h3 if selector[v] == 3 else h4)
+        leak = _entropy_of_weights(Counter(messages), n) - cond
+    else:
+        leak = _tap_terms(messages, tap, columns[selector[0]])[1]
+    return SecurityVerdict(code.name, klass, _level(objective, d, n), max(leak, 0.0), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +668,17 @@ class ClassificationTable:
         return "\n".join(lines) + "\n"
 
 
-def _affine_relay_code(d: int, params: tuple[int, ...]) -> Optional[OneHopCode]:
+def _affine_relay_code(d: int, params: tuple[int, ...]) -> OneHopCode:
     """Standard encoder plus the affine relay given by six coefficients.
 
-    Returns None when the message is not recoverable from (Y3, Y4).
+    The message must be recoverable from (Y3, Y4); the decoder is read
+    off the support, unreachable pairs decoding to 0.
     """
     p, q, s0, t, u, w0 = params
     encoder = {(m, l): ((l, (m + l) % d),) for m, l in product(range(d), repeat=2)}
     relay = {(y1, y2): ((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
              for y1, y2 in product(range(d), repeat=2)}
-    messages = [m for m, _ in encoder]
-    y34 = [relay[out] for (out,) in encoder.values()]
-    if not _determines(messages, y34):
-        return None
-    support = dict(zip(y34, messages))
+    support = {relay[out]: m for (m, _), (out,) in encoder.items()}
     decoder = {k: support.get(k, 0) for k in product(range(d), repeat=2)}
     return OneHopCode(d, 1, 1, False, encoder, relay, decoder,
                       name=f"scalar-affine-{'-'.join(map(str, params))}")
@@ -590,30 +687,36 @@ def _affine_relay_code(d: int, params: tuple[int, ...]) -> Optional[OneHopCode]:
 def _scalar_linear_row(d: int) -> dict[str, SecurityLevel]:
     """Family-best level per column over all correct affine-relay codes.
 
-    A code insecure under deterministic-passive attacks stays insecure
-    under every superset class, so only codes that beat insecurity in
-    the first column need evaluation under the larger classes.
+    Each affine relay behind the standard encoder gets its deterministic-
+    passive level from the column terms of its four views.  A code
+    insecure there stays insecure under every superset class, so only the
+    others are built as codes and classified under the larger classes.
     """
-    survivors = []
+    atoms = list(product(range(d), repeat=2))
+    messages = tuple(m for m, _ in atoms)
+    taps = (tuple(l for _, l in atoms), tuple((m + l) % d for m, l in atoms))
     best = {c: SecurityLevel.INSECURE for c in TABLE_COLUMNS}
     found_any = False
     for params in product(range(d), repeat=6):
-        code = _affine_relay_code(d, params)
-        if code is None:
+        p, q, s0, t, u, w0 = params
+        y3 = tuple((p * y1 + q * y2 + s0) % d for y1, y2 in zip(*taps))
+        y4 = tuple((t * y1 + u * y2 + w0) % d for y1, y2 in zip(*taps))
+        if not _determines(messages, zip(y3, y4)):
             continue
         found_any = True
-        verdict = classify(code, AttackClass.DETERMINISTIC_PASSIVE)
-        if verdict.level is not SecurityLevel.INSECURE:
-            survivors.append((code, verdict.level))
-    if not found_any:
-        raise RuntimeError("no correct affine relay exists; encoder sweep bug")
-    for code, det_level in survivors:
-        if _LEVEL_RANK[det_level] > _LEVEL_RANK[best["deterministic-passive"]]:
-            best["deterministic-passive"] = det_level
+        levels = {"deterministic-passive": min(
+            (_view_level(d, messages, tap, w) for tap in taps for w in (y3, y4)),
+            key=_LEVEL_RANK.get)}
+        if levels["deterministic-passive"] is SecurityLevel.INSECURE:
+            continue
+        code = _affine_relay_code(d, params)
         for column in ("active", "adaptive"):
-            level = classify(code, _COLUMN_CLASS[column]).level
+            levels[column] = classify(code, _COLUMN_CLASS[column]).level
+        for column, level in levels.items():
             if _LEVEL_RANK[level] > _LEVEL_RANK[best[column]]:
                 best[column] = level
+    if not found_any:
+        raise RuntimeError("no correct affine relay exists; encoder sweep bug")
     return best
 
 
@@ -748,23 +851,6 @@ class _Memo(dict):
         return value
 
 
-def _view_status(messages: Sequence[int], first: Sequence[int],
-                 second: Sequence[int]) -> SecurityLevel:
-    """Level of one deterministic-passive view over equally likely atoms.
-
-    messages, first and second give each atom's message and the symbols
-    Eve reads on her first- and second-layer edge.  INSECURE when the
-    view (first, second) determines M, PERFECT when M is independent of
-    it, IMPERFECT otherwise.
-    """
-    if _determines(messages, zip(first, second)):
-        return SecurityLevel.INSECURE
-    counts = Counter(zip(messages, first, second))
-    if _independent(counts, len(messages), (0,), (1, 2)):
-        return SecurityLevel.PERFECT
-    return SecurityLevel.IMPERFECT
-
-
 def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
                          relays: Iterable[Iterable[tuple[int, int]]]) -> tuple[int, int, int]:
     """(insecure, imperfect, perfect) counts over every correct table pair.
@@ -773,7 +859,8 @@ def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
     its (y1, y2); a relay gives each (y1, y2), in lexicographic order,
     its (y3, y4); each iterable is read once.  A pair is correct when M
     is recoverable from (Y3, Y4), and its level is the worst over the
-    four deterministic-passive views (Y_i, Y_j), i in 1,2 and j in 3,4.
+    four deterministic-passive views (Y_i, Y_j), i in 1,2 and j in 3,4,
+    each read off the objective of its column terms.
 
     Each predicate is memoised, in dicts local to the call, on exactly
     what it reads.  Correctness reads the composed (Y3, Y4) column over
@@ -781,7 +868,7 @@ def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
     reads its (first-layer column, second-layer column) pair, each column
     numbered on first sight.
     """
-    messages = [m for m, _ in product(range(d), repeat=2)]
+    messages = tuple(m for m, _ in product(range(d), repeat=2))
     coded_relays = [tuple(y3 * d + y4 for y3, y4 in rel) for rel in relays]
     column_ids: dict[tuple[int, ...], int] = {}
     columns: list[tuple[int, ...]] = []
@@ -798,7 +885,7 @@ def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
         return column_id(tuple(c // d for c in y34)), column_id(tuple(c % d for c in y34))
 
     def view_rank(key: tuple[int, int]) -> int:
-        return _LEVEL_RANK[_view_status(messages, columns[key[0]], columns[key[1]])]
+        return _LEVEL_RANK[_view_level(d, messages, columns[key[0]], columns[key[1]])]
 
     # composed (Y3, Y4) column -> None if M is lost, else its two column ids
     second_layer = _Memo(second_layer_ids)
@@ -827,7 +914,7 @@ def exhaustive_scalar_linear_check(d: int) -> ScalarLinearSweepReport:
     otherwise.  Encoders that already lose M in (Y1, Y2) cannot be
     correct and are pruned up front.  The pairs are counted by
     _passive_pair_levels, which memoises correctness on the composed
-    (Y3, Y4) column and each view's status on its (first-layer column,
+    (Y3, Y4) column and each view's level on its (first-layer column,
     second-layer column) pair.  An affine map composed with an affine map
     is affine, so at d=3 the 367416 pairs share 729 composed columns and
     675 view column pairs.
@@ -902,7 +989,7 @@ def linear_active_reduction_check(code: OneHopCode) -> bool:
         raise ValueError("code tables are not affine over Z_d")
     d = code.d
     for first_edge in (1, 2):
-        slices = dict(_slice_laws(code, first_edge, active=True)[0])
+        slices = dict(_slice_laws(code, first_edge))
         for (view, _), active_slice in slices.items():
             # the identity is admissible, and both slices hold the same atoms
             passive_slice = slices[view, view]

@@ -19,6 +19,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .algebra import Matrix, build_mds_generator, is_prime
+from .errors import BudgetError
 
 ROLES = ("source", "terminal", "intermediate")
 
@@ -386,14 +387,25 @@ class Wiretap2Report:
                 "all_taps_zero": self.all_taps_zero}
 
 
+# One visit is one codeword seen through one tap subset: about 4 us
+# (2-vCPU VM, Python 3.11), so the cap is about half a minute of work.
+_WIRETAP2_VISIT_CAP = 1 << 23
+
+
 def wiretap2_verify(code: WiretapIICode) -> Wiretap2Report:
     """Exhaustive check: exact zero leakage on every r-subset, full decode.
 
     Builds the exact joint law over uniform messages and scrambles; each
     tap subset must show message-independent view counts (an integer
-    test), and the full codeword must decode every input.
+    test), and the full codeword must decode every input.  Raises
+    BudgetError, before any work, when the q^k codewords times the
+    C(k, r) tap subsets exceed _WIRETAP2_VISIT_CAP.
     """
     q, k, r = code.q, code.k, code.r
+    visits = q ** k * math.comb(k, r)
+    if visits > _WIRETAP2_VISIT_CAP:
+        raise BudgetError(f"{q}^{k} codewords x C({k}, {r}) tap subsets = {visits} "
+                          f"visits exceed the cap of {_WIRETAP2_VISIT_CAP}")
     decode_ok = True
     # joint counts per subset: (message tuple, view tuple) -> count
     subsets = list(combinations(range(k), r)) if r > 0 else [()]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from itertools import product
@@ -22,7 +24,14 @@ from wiretaplab.attack_engine import (
     simulate_attack,
     table_mismatches,
 )
-from wiretaplab.attack_engine import _passive_pair_levels, _slice_laws, _view_status
+from wiretaplab.attack_engine import (
+    _columns,
+    _passive_pair_levels,
+    _slice_laws,
+    _slice_objectives,
+    _tap_terms,
+    _view_level,
+)
 from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
     is_function_of,
@@ -125,6 +134,24 @@ def random_code(rng, d, shots, scramble_count, relay_randomness):
         relay[key] = rng.choice(choices)
     return OneHopCode(d, shots, scramble_count, bool(relay_randomness),
                       encoder, relay, decoder, name=f"random-d{d}-s{shots}")
+
+
+def literal_columns(code):
+    """(M, Y1, Y2, Y3, Y4) per atom straight off transmit, in atom order.
+
+    A two-shot first-layer view (vA, vB) is coded as vA*d + vB.
+    """
+    cols = ([], [], [], [], [])
+    for key in code.encoder_inputs():
+        for lp in code.relay_random_values():
+            first, (y3, y4), _ = code.transmit(key[0], key[1:], lp)
+            y1 = y2 = 0
+            for shot in range(code.shots):
+                y1 = y1 * code.d + first[2 * shot]
+                y2 = y2 * code.d + first[2 * shot + 1]
+            for col, value in zip(cols, (key[0], y1, y2, y3, y4)):
+                col.append(value)
+    return tuple(tuple(col) for col in cols)
 
 
 class TestEnumerateAttacks:
@@ -295,8 +322,7 @@ class TestClassify:
         # a map gives equal observations equal substitutes, so a view that
         # saw one symbol twice has d slices and any other view has d^2
         d = 3
-        slices, _, _ = _slice_laws(vector_linear_code(d), 1, active=True)
-        keys = [key for key, _ in slices]
+        keys = [key for key, _ in _slice_laws(vector_linear_code(d), 1)]
         assert len(keys) == len(set(keys))
         assert sorted(keys) == sorted(
             (view, xs) for view in product(range(d), repeat=2)
@@ -304,21 +330,28 @@ class TestClassify:
             if view[0] != view[1] or xs[0] == xs[1])
 
     def test_passive_slices_are_the_identity_slices_of_the_active_path(self):
-        # the passive path builds its slices in the pass that builds the
-        # passive law; the active path re-evaluates the relay per slice
+        # the passive path reads each view's objective off three columns;
+        # the active path re-evaluates the relay per (view, substitute)
+        # slice, and its (view, view) slices are the passive ones
         rng = random.Random(4096)
         codes = [random_code(rng, d, 1, 1, i % 2) for d in (2, 3, 4) for i in range(4)]
         codes.append(vector_linear_code(2))
         for code in codes:
+            columns = literal_columns(code)
+            assert _columns(code) == columns, code.name
+            messages = columns[0]
             for first_edge in (1, 2):
-                slices, passive, n = _slice_laws(code, first_edge, active=False)
-                slices = list(slices)
-                active_slices, active_passive, active_n = _slice_laws(
-                    code, first_edge, active=True)
-                want = {key: w for key, w in active_slices if key[0] == key[1]}
-                assert len(slices) == len(want)
-                assert dict(slices) == want, (code.name, first_edge)
-                assert (passive, n) == (active_passive, active_n)
+                want = {}
+                for (view, xs), weights in _slice_laws(code, first_edge):
+                    if view == xs:
+                        coded = view[0] if code.shots == 1 else view[0] * code.d + view[1]
+                        want[coded] = (_slice_objectives(weights), sum(weights.values()))
+                views3 = _tap_terms(messages, columns[first_edge], columns[3])[0]
+                views4 = _tap_terms(messages, columns[first_edge], columns[4])[0]
+                got = {v: ((obj3, obj4), n_v)
+                       for (v, obj3, n_v, _), (_, obj4, _, _) in zip(views3, views4)}
+                assert got == want, (code.name, first_edge)
+                assert [v for v, *_ in views3] == sorted(want)
 
     def test_active_budget(self):
         # two-shot active classes enumerate d^d maps and stop at d > 6;
@@ -354,6 +387,93 @@ class TestClassify:
         assert data["class"] == "deterministic-passive"
         assert data["level"] == "imperfectly-secret"
         assert set(data) == {"code_id", "class", "level", "max_leakage_bits", "witness"}
+
+
+def view_level(messages, first, second):
+    return _view_level(2, messages, first, second)
+
+
+class TestViewStatus:
+    # four equally likely atoms (m, l) over Z_2, in product order; each
+    # level is read off the objective of the view's column terms
+    M = (0, 0, 1, 1)
+    L = (0, 1, 0, 1)
+    ZERO = (0, 0, 0, 0)
+
+    def test_view_that_pins_m_is_insecure(self):
+        assert view_level(self.M, self.L, self.M) is SecurityLevel.INSECURE
+        assert view_level(self.M, self.M, self.ZERO) is SecurityLevel.INSECURE
+        # M = first + second
+        plus = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
+        assert view_level(self.M, self.L, plus) is SecurityLevel.INSECURE
+
+    def test_view_independent_of_m_is_perfect(self):
+        assert view_level(self.M, self.L, self.L) is SecurityLevel.PERFECT
+        assert view_level(self.M, self.L, self.ZERO) is SecurityLevel.PERFECT
+        assert view_level(self.M, self.ZERO, self.ZERO) is SecurityLevel.PERFECT
+
+    def test_view_that_leaks_part_of_m_is_imperfect(self):
+        # the view (M * L) is 1 only when M = 1
+        product_ml = tuple(m * l for m, l in zip(self.M, self.L))
+        assert view_level(self.M, product_ml, self.ZERO) is SecurityLevel.IMPERFECT
+        assert view_level(self.M, self.ZERO, product_ml) is SecurityLevel.IMPERFECT
+
+    def test_both_view_columns_are_read(self):
+        # the same second-layer column with different first-layer columns
+        # gives each of the three outcomes
+        second = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
+        assert view_level(self.M, self.L, second) is SecurityLevel.INSECURE
+        assert view_level(self.M, self.ZERO, second) is SecurityLevel.PERFECT
+        assert view_level(self.M, tuple(m * l for m, l in zip(self.M, self.L)),
+                          second) is SecurityLevel.IMPERFECT
+
+
+class TestTapTermsMemo:
+    M = (0, 0, 1, 1)
+    L = (0, 1, 0, 1)
+
+    def test_terms_depend_on_the_second_layer_column(self):
+        # one tap column read through two second-layer columns: a memo
+        # keyed on the tap alone would hand the second call the first's terms
+        plus = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
+        through_l = _tap_terms(self.M, self.L, self.L)
+        through_plus = _tap_terms(self.M, self.L, plus)
+        assert through_l != through_plus
+        assert through_l == _tap_terms.__wrapped__(self.M, self.L, self.L)
+        assert through_plus == _tap_terms.__wrapped__(self.M, self.L, plus)
+
+    def test_verdicts_do_not_depend_on_the_memo(self, d2_codes):
+        rng = random.Random(99)
+        codes = d2_codes[::500] + [vector_linear_code(2)]
+        codes += [random_code(rng, 3, 1, 1, i % 2) for i in range(4)]
+        codes += [random_code(rng, 2, 2, 1, i % 2) for i in range(4)]
+        classes = (DP, AP, DA, AA)
+        warm = [classify(code, klass).to_json_dict() for code in codes for klass in classes]
+        _tap_terms.cache_clear()
+        cold = [classify(code, klass).to_json_dict() for code in codes for klass in classes]
+        assert cold == warm
+
+    def test_memo_is_bounded(self):
+        assert _tap_terms.cache_info().maxsize is not None
+
+
+def verdicts_sha256(codes, classes):
+    return hashlib.sha256("\n".join(
+        json.dumps(classify(code, klass).to_json_dict())
+        for code in codes for klass in classes).encode()).hexdigest()
+
+
+class TestPinnedVerdicts:
+    # sha256 of the verdict JSON lines, one per (code, class), code by code
+    PASSIVE_SHA256 = "12659e3f55ad5d2e0694ccd1c636669c04135f199c36933ed64447e7d6943586"
+    ACTIVE_SHA256 = "8573a562172e5877019ba0c832073888fc2d73ae6f20d75115961b737f5d9d2b"
+
+    def test_every_d2_code_under_passive_classes(self, d2_codes):
+        assert verdicts_sha256(d2_codes, (DP, AP)) == self.PASSIVE_SHA256
+
+    def test_sampled_d2_codes_under_active_classes(self, d2_codes):
+        # pins the leakage of active witnesses, read off their own columns
+        assert verdicts_sha256(d2_codes[::16], (DA, AA)) == self.ACTIVE_SHA256
 
 
 class TestMonotonicity:
@@ -427,6 +547,21 @@ class TestRelabelling:
         renamed = relabel(code, [(1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2)], (2, 1, 0))
         for key in renamed.encoder_inputs():
             assert renamed.transmit(key[0], key[1:])[2] == key[0]
+
+
+class TestCodeJsonRoundTrip:
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32), d=st.sampled_from((2, 3)),
+           shots=st.sampled_from((1, 2)), relay_randomness=st.booleans())
+    def test_round_trip_keeps_the_code_and_its_passive_verdicts(
+            self, seed, d, shots, relay_randomness):
+        code = random_code(random.Random(seed), d, shots, 1, relay_randomness)
+        again = OneHopCode.from_json_dict(json.loads(json.dumps(code.to_json_dict())))
+        assert again == code
+        assert again.name == code.name
+        for klass in (DP, AP):
+            assert classify(again, klass).to_json_dict() == \
+                classify(code, klass).to_json_dict()
 
 
 @pytest.fixture(scope="module")
@@ -571,40 +706,6 @@ class TestScalarLinearSweep:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             exhaustive_scalar_linear_check(4)
-
-
-class TestViewStatus:
-    # four equally likely atoms (m, l) over Z_2, in product order
-    M = (0, 0, 1, 1)
-    L = (0, 1, 0, 1)
-    ZERO = (0, 0, 0, 0)
-
-    def test_view_that_pins_m_is_insecure(self):
-        assert _view_status(self.M, self.L, self.M) is SecurityLevel.INSECURE
-        assert _view_status(self.M, self.M, self.ZERO) is SecurityLevel.INSECURE
-        # M = first + second
-        plus = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
-        assert _view_status(self.M, self.L, plus) is SecurityLevel.INSECURE
-
-    def test_view_independent_of_m_is_perfect(self):
-        assert _view_status(self.M, self.L, self.L) is SecurityLevel.PERFECT
-        assert _view_status(self.M, self.L, self.ZERO) is SecurityLevel.PERFECT
-        assert _view_status(self.M, self.ZERO, self.ZERO) is SecurityLevel.PERFECT
-
-    def test_view_that_leaks_part_of_m_is_imperfect(self):
-        # the view (M * L) is 1 only when M = 1
-        product_ml = tuple(m * l for m, l in zip(self.M, self.L))
-        assert _view_status(self.M, product_ml, self.ZERO) is SecurityLevel.IMPERFECT
-        assert _view_status(self.M, self.ZERO, product_ml) is SecurityLevel.IMPERFECT
-
-    def test_both_view_columns_are_read(self):
-        # the same second-layer column with different first-layer columns
-        # gives each of the three outcomes
-        second = tuple((m + l) % 2 for m, l in zip(self.M, self.L))
-        assert _view_status(self.M, self.L, second) is SecurityLevel.INSECURE
-        assert _view_status(self.M, self.ZERO, second) is SecurityLevel.PERFECT
-        assert _view_status(self.M, tuple(m * l for m, l in zip(self.M, self.L)),
-                            second) is SecurityLevel.IMPERFECT
 
 
 class TestLinearActiveReduction:

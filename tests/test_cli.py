@@ -151,6 +151,27 @@ class TestExitCodes:
         assert out == ""
         assert time.perf_counter() - start < 5.0
 
+    def test_wiretap2_budget_is_3(self, capsys):
+        # 11^6 codewords x C(6, 3) tap subsets: minutes of work, refused
+        # before the first codeword
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wiretap2", "--q", "11", "--k", "6", "--r", "3")
+        assert code == 3
+        assert "budget" in err and "tap subsets" in err
+        assert out == ""
+        assert time.perf_counter() - start < 5.0
+
+    def test_mds_verify_budget_is_3(self, capsys, tmp_path):
+        # C(24, 12) column selections, refused before the first determinant
+        path = tmp_path / "wide.mat"
+        path.write_text("12 24 5\n" + "\n".join(["1 " * 24] * 12) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mds", "verify", "--file", str(path))
+        assert code == 3
+        assert "budget" in err and "column selections" in err
+        assert out == ""
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("k, r", [(-2, 2), (3, 0), (3, 4)])
     def test_han_r_outside_one_to_k_is_2(self, capsys, k, r):
         code, _, err = run(capsys, "han", "--k", str(k), "--r", str(r))
