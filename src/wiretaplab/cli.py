@@ -372,9 +372,12 @@ def cmd_wiretap2(args) -> int:
 # ---------------------------------------------------------------------------
 # han
 
-# Each sample projects all 2^(k+1) cells of its distribution once per
-# r-subset.  At about 1.3 us per projected cell (2-vCPU VM, Python 3.11)
-# this cap is about a minute and a half of work.
+# Each sample projects at most all 2^(k+1) cells of its distribution
+# once per r-subset.  Measured as the wall time of whole `han` runs over
+# samples x C(k, r) x 2^(k+1) (2-vCPU VM, Python 3.11): about 0.45 us per
+# cell at k = 8 and k = 12, and 1.2 us at k = 4, where drawing each
+# sample costs more than its projections; so this cap is 30 to 80 s of
+# work.
 _HAN_CELL_CAP = 1 << 26
 
 

@@ -5,7 +5,10 @@ divided by their gcd, together with their total; a probability is a
 weight over the total.  Entropies are evaluated in double precision from
 those integers (base-2 logs), while every support-style question (is
 this variable a function of that view, are these views independent) is
-answered by exact integer comparisons, never by float thresholds.
+answered by exact integer comparisons, never by float thresholds.  A Han
+inequality is decided by the sign of its float slack only where a proved
+rounding bound makes that sign right, and on integers everywhere else.
+Each distribution memoises the marginals it has built.
 Fractions appear only at the edges: the probability-table constructor,
 the `table` view and the JSON form.
 """
@@ -15,8 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, product
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BudgetError
@@ -69,28 +74,31 @@ class JointDistribution:
             raise ValueError("duplicate variable names")
         if any(size < 1 for _, size in variables):
             raise ValueError("alphabet sizes must be >= 1")
-        cleaned: dict[tuple[int, ...], int] = {}
-        for key, w in weights.items():
-            key = tuple(key)
-            if len(key) != len(variables):
-                raise ValueError(f"key {key} has wrong arity")
-            for v, (name, size) in zip(key, variables):
-                if not 0 <= v < size:
-                    raise ValueError(f"value {v} outside alphabet of {name}")
-            if not isinstance(w, int):
-                raise ValueError(f"weight {w!r} is not an int")
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-            if w:
-                cleaned[key] = w
+        ws = weights.values()
+        # by column: each column's distinct values against its alphabet;
+        # any failure reruns the per-key loop, which names the first
+        # offending key or accepts what this stricter test refused
+        if (set(map(type, weights)) <= {tuple} and set(map(len, weights)) <= {len(variables)}
+                and set(map(type, ws)) <= {int} and min(ws, default=0) >= 0
+                and all(0 <= v < size
+                        for column, (_, size) in zip(zip(*weights), variables)
+                        for v in set(column))):
+            cleaned = {key: w for key, w in weights.items() if w}
+        else:
+            cleaned = _cleaned_per_key(variables, weights)
         if not cleaned:
             raise ValueError("weights must have positive total")
         g = math.gcd(*cleaned.values())
         if g > 1:
             cleaned = {key: w // g for key, w in cleaned.items()}
+        total = sum(cleaned.values())
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "weights", cleaned)
-        object.__setattr__(self, "total", sum(cleaned.values()))
+        object.__setattr__(self, "total", total)
+        # not dataclass fields, so ==, repr and the JSON form ignore them
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_marginals",
+                           {tuple(range(len(variables))): cleaned, (): {(): total}})
 
     @property
     def table(self) -> dict[tuple[int, ...], Fraction]:
@@ -126,17 +134,35 @@ class JointDistribution:
         return cls(variables, table)
 
 
+def _cleaned_per_key(variables: tuple[tuple[str, int], ...],
+                     weights: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The positive weights, checked key by key; raises on the first bad key."""
+    cleaned: dict[tuple[int, ...], int] = {}
+    for key, w in weights.items():
+        key = tuple(key)
+        if len(key) != len(variables):
+            raise ValueError(f"key {key} has wrong arity")
+        for v, (name, size) in zip(key, variables):
+            if not 0 <= v < size:
+                raise ValueError(f"value {v} outside alphabet of {name}")
+        if not isinstance(w, int):
+            raise ValueError(f"weight {w!r} is not an int")
+        if w < 0:
+            raise ValueError(f"negative weight {w}")
+        if w:
+            cleaned[key] = w
+    return cleaned
+
+
 def _positions(dist: JointDistribution, names: Names) -> tuple[int, ...]:
     """Indices of the requested names, in declared order."""
-    if isinstance(names, str):
-        wanted = {names}
-    else:
-        wanted = set(names)
-    declared = dist.names()
-    unknown = wanted - set(declared)
-    if unknown:
-        raise KeyError(f"unknown variable(s): {sorted(unknown)}")
-    return tuple(i for i, n in enumerate(declared) if n in wanted)
+    wanted = {names} if isinstance(names, str) else set(names)
+    index = dist._index
+    try:
+        return tuple(sorted(map(index.__getitem__, wanted)))
+    except KeyError:
+        unknown = wanted - index.keys()
+        raise KeyError(f"unknown variable(s): {sorted(unknown)}") from None
 
 
 def _project(weights: Mapping[tuple[int, ...], int],
@@ -145,6 +171,40 @@ def _project(weights: Mapping[tuple[int, ...], int],
     for key, w in weights.items():
         sub = tuple(key[i] for i in positions)
         out[sub] = out.get(sub, 0) + w
+    return out
+
+
+def _marginal_weights(dist: JointDistribution,
+                      positions: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The weights of the marginal on sorted positions, memoised on dist.
+
+    A new marginal is projected from the smallest one already built that
+    contains it.  Its cells come in order of first occurrence in the
+    source, which is their order of first occurrence in the full table,
+    so every marginal equals _project(dist.weights, positions) item for
+    item and the entropies summed over it are the same floats.  The
+    returned dict is shared: do not modify it.
+    """
+    memo = dist._marginals
+    found = memo.get(positions)
+    if found is not None:
+        return found
+    wanted = set(positions)
+    source = None
+    for key, table in memo.items():
+        if (source is None or len(table) < len(source)) and wanted.issubset(key):
+            source_key, source = key, table
+    index = [source_key.index(p) for p in positions]
+    pick = itemgetter(*index)
+    out: dict = {}
+    get = out.get
+    for key, w in source.items():
+        sub = pick(key)
+        out[sub] = get(sub, 0) + w
+    if len(index) == 1:
+        # itemgetter of one index returns the bare value
+        out = {(v,): w for v, w in out.items()}
+    memo[positions] = out
     return out
 
 
@@ -163,7 +223,7 @@ def marginal(dist: JointDistribution, names: Names) -> JointDistribution:
     if not pos:
         raise ValueError("marginal needs at least one variable")
     return JointDistribution.from_weights(tuple(dist.variables[i] for i in pos),
-                                          _project(dist.weights, pos))
+                                          _marginal_weights(dist, pos))
 
 
 def entropy(dist: JointDistribution, names: Names) -> float:
@@ -171,7 +231,7 @@ def entropy(dist: JointDistribution, names: Names) -> float:
     pos = _positions(dist, names)
     if not pos:
         raise ValueError("entropy needs a nonempty variable set")
-    return _entropy_of_weights(_project(dist.weights, pos), dist.total)
+    return _entropy_of_weights(_marginal_weights(dist, pos), dist.total)
 
 
 def conditional_entropy(dist: JointDistribution, target: Names, given: Names) -> float:
@@ -180,11 +240,12 @@ def conditional_entropy(dist: JointDistribution, target: Names, given: Names) ->
     gpos = _positions(dist, given)
     if not tpos:
         raise ValueError("conditional entropy needs a nonempty target")
-    weights, total = dist.weights, dist.total
-    joint = _entropy_of_weights(_project(weights, tuple(sorted(set(tpos + gpos)))), total)
+    total = dist.total
+    joint = _entropy_of_weights(_marginal_weights(dist, tuple(sorted(set(tpos + gpos)))),
+                                total)
     if not gpos:
         return joint
-    return joint - _entropy_of_weights(_project(weights, gpos), total)
+    return joint - _entropy_of_weights(_marginal_weights(dist, gpos), total)
 
 
 def mutual_information(dist: JointDistribution, a: Names, b: Names) -> float:
@@ -195,10 +256,10 @@ def mutual_information(dist: JointDistribution, a: Names, b: Names) -> float:
         raise ValueError("variable sets overlap")
     if not apos or not bpos:
         raise ValueError("both variable sets must be nonempty")
-    weights, total = dist.weights, dist.total
-    ha = _entropy_of_weights(_project(weights, apos), total)
-    hb = _entropy_of_weights(_project(weights, bpos), total)
-    hab = _entropy_of_weights(_project(weights, tuple(sorted(apos + bpos))), total)
+    total = dist.total
+    ha = _entropy_of_weights(_marginal_weights(dist, apos), total)
+    hb = _entropy_of_weights(_marginal_weights(dist, bpos), total)
+    hab = _entropy_of_weights(_marginal_weights(dist, tuple(sorted(apos + bpos))), total)
     return ha + hb - hab
 
 
@@ -226,9 +287,9 @@ def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
     bpos = _positions(dist, b)
     if set(apos) & set(bpos):
         raise ValueError("variable sets overlap")
-    n = len(apos)
-    return _independent(_project(dist.weights, apos + bpos), dist.total,
-                        range(n), range(n, n + len(bpos)))
+    key = tuple(sorted(apos + bpos))
+    return _independent(_marginal_weights(dist, key), dist.total,
+                        [key.index(p) for p in apos], [key.index(p) for p in bpos])
 
 
 def is_function_of(dist: JointDistribution, target: Names, given: Names) -> bool:
@@ -255,9 +316,83 @@ class HanCheckResult(NamedTuple):
     slack: float
 
 
-# float guard for an inequality that is exact in rationals; equality cases
-# reuse the identical projection and come out at literally 0.0
-_HAN_TOLERANCE = 1e-9
+# The float slack decides `holds` only when |slack| > _HAN_FILTER and the
+# call's rounding envelope, total.bit_length() * ((2c + 2h)(M + 12) + c^2)
+# for c = |C| subsets and M support cells, is at most _HAN_ENVELOPE =
+# 2^37 = _HAN_FILTER / 2^-53; everything else goes to the integer test.
+# Why that suffices, with u = 2^-53, L = log2(total) and log2 within one
+# ulp: one _entropy_of_weights over m cells is off by at most
+# (m + 10) u L (each w log2 w to 5.5u relative, counting the rounding of
+# w to a float; the sum of m terms to (m - 1)u of acc <= total L; then a
+# division, log2(total) and a subtraction), and every marginal has
+# m <= M.  The slack sums |C| differences H_S - H_X, each at most L, and
+# subtracts h (H_Y - H_X), so its error is at most
+# u L ((2c + 2h)(M + 10) + 4(c + h) + c^2), below u times the envelope.
+# Every `han` sample lies inside it: _RANDOM_CELL_CAP = 2^16 gives
+# k <= 15, M <= 2^(k+1) and total <= 32 M, so total.bit_length() <= 22
+# and h <= c <= C(15, 7) < 2^13, and _HAN_CELL_CAP = 2^26 gives
+# c 2^(k+1) <= 2^26, so the envelope is at most
+# 22 (4 * 2^26 + 48 * 2^13 + 2^26) < 2^33.  In practice only exact ties
+# reach the integer test.
+_HAN_FILTER = 2.0 ** -16
+_HAN_ENVELOPE = 1 << 37
+
+
+def _weight_powers_ge(left: Iterable[tuple[Mapping[tuple[int, ...], int], int]],
+                      right: Iterable[tuple[Mapping[tuple[int, ...], int], int]]) -> bool:
+    """Exact prod over (weights, e) in left of P^e >= the same over right.
+
+    P = prod over the cells of w^w, so n * H(A) = log2(n^n / P(A)) for
+    the marginal on A.  The bases are first split into pairwise coprime
+    ones (gcd refinement), where the two sides are equal iff every
+    exponent cancels; so a tie takes no power at all.
+    """
+    powers: dict[int, int] = {}
+    for side, sign in ((left, 1), (right, -1)):
+        for weights, e in side:
+            for w in weights.values():
+                if w > 1:
+                    powers[w] = powers.get(w, 0) + sign * e * w
+    coprime: dict[int, int] = {}
+    work = list(powers.items())
+    while work:
+        b, e = work.pop()
+        if b == 1 or not e:
+            continue
+        for c in coprime:
+            g = math.gcd(b, c)
+            if g > 1:
+                # b^e c^f = g^(e + f) (b / g)^e (c / g)^f
+                f = coprime.pop(c)
+                work += [(g, e + f), (b // g, e), (c // g, f)]
+                break
+        else:
+            coprime[b] = e
+    lhs = rhs = 1
+    for base, e in coprime.items():
+        if e > 0:
+            lhs *= base ** e
+        elif e < 0:
+            rhs *= base ** -e
+    return lhs >= rhs
+
+
+def _han_holds_exactly(dist: JointDistribution, x_key: tuple[int, ...],
+                       y_key: tuple[int, ...], subset_keys: Sequence[tuple[int, ...]],
+                       h: int) -> bool:
+    """Sum_S H(Y_S | X) >= h H(Y | X), decided on integers.
+
+    Multiplied by the total n it reads sum_S log2(P(X) / P(Y_S X)) >=
+    h log2(P(X) / P(Y X)), that is P(X)^(|C| - h) P(Y X)^h >= prod_S
+    P(Y_S X).  Marginals on the same positions cancel first, so r = k
+    takes no power at all.
+    """
+    exponents = Counter({x_key: len(subset_keys) - h})
+    exponents[y_key] += h
+    exponents.subtract(subset_keys)
+    left = [(_marginal_weights(dist, key), e) for key, e in exponents.items() if e > 0]
+    right = [(_marginal_weights(dist, key), -e) for key, e in exponents.items() if e < 0]
+    return _weight_powers_ge(left, right)
 
 
 def _group_positions(dist: JointDistribution,
@@ -298,24 +433,32 @@ def check_han_collection(dist: JointDistribution,
 
     groups = _group_positions(dist, y_groups)
     gpos = _positions(dist, given)
-    weights, total = dist.weights, dist.total
-    h_given = _entropy_of_weights(_project(weights, gpos), total) if gpos else 0.0
 
-    cache: dict[tuple[int, ...], float] = {}
-
-    def cond_h(indices: Iterable[int]) -> float:
+    def joint_key(indices: Iterable[int]) -> tuple[int, ...]:
         pos = set(gpos)
         for i in indices:
             pos.update(groups[i])
-        key = tuple(sorted(pos))
-        if key not in cache:
-            cache[key] = _entropy_of_weights(_project(weights, key), total)
-        return cache[key] - h_given
+        return tuple(sorted(pos))
 
-    lhs = sum(cond_h(s) for s in subsets)
-    rhs = h * cond_h(range(k))
+    subset_keys = [joint_key(s) for s in subsets]
+    y_key = joint_key(range(k))
+    needed = [*subset_keys, y_key]
+    if gpos:
+        needed.append(gpos)  # last, so the lattice projects X from a small marginal
+    total = dist.total
+    entropies = {key: _entropy_of_weights(_marginal_weights(dist, key), total)
+                 for key in dict.fromkeys(needed)}
+    h_given = entropies[gpos] if gpos else 0.0
+    lhs = sum(entropies[key] - h_given for key in subset_keys)
+    rhs = h * (entropies[y_key] - h_given)
     slack = lhs - rhs
-    return HanCheckResult(slack >= -_HAN_TOLERANCE, slack)
+    c = len(subsets)
+    envelope = total.bit_length() * ((2 * c + 2 * h) * (len(dist.weights) + 12) + c * c)
+    if abs(slack) > _HAN_FILTER and envelope <= _HAN_ENVELOPE:
+        holds = slack > 0
+    else:
+        holds = _han_holds_exactly(dist, gpos, y_key, subset_keys, h)
+    return HanCheckResult(holds, slack)
 
 
 def check_han_subsets(dist: JointDistribution,

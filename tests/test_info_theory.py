@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,11 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiretaplab import info_theory
 from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
+    _HAN_FILTER,
     JointDistribution,
     _entropy_of_weights,
+    _han_holds_exactly,
+    _marginal_weights,
     _project,
+    _weight_powers_ge,
     check_han_collection,
     check_han_subsets,
     conditional_entropy,
@@ -83,6 +90,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             JointDistribution.from_weights((("A", 2),), {(0,): -1, (1,): 3})
 
+    @pytest.mark.parametrize("weights, message", [
+        ({(0, 0): 1, (1,): 1, (0, 1, 1): 1}, "key (1,) has wrong arity"),
+        ({(0, 1): 1, (2, 0): 1, (0, 3): 1}, "value 2 outside alphabet of A"),
+        ({(0, 0): 1, (1, 1): 0.5, (0, 1): "1"}, "weight 0.5 is not an int"),
+        ({(0, 0): 1, (1, 1): -2, (0, 1): -3}, "negative weight -2"),
+    ])
+    def test_first_offending_key_named(self, weights, message):
+        # the column check rejects each table; the per-key pass names its first bad key
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JointDistribution.from_weights((("A", 2), ("B", 2)), weights)
+
+    def test_int_like_weights_and_values_accepted(self):
+        # the per-key pass accepts what the column check refuses: bools are ints
+        d = JointDistribution.from_weights((("A", 2),), {(False,): True, (1,): 2})
+        assert d.weights == {(False,): 1, (1,): 2}
+        assert d.total == 3
+
     def test_weights_divided_by_gcd(self):
         d = JointDistribution.from_weights((("A", 3),), {(0,): 4, (1,): 0, (2,): 6})
         assert d.weights == {(0,): 2, (2,): 3}
@@ -117,8 +141,8 @@ class TestMarginal:
         assert m.table == {(0,): H, (1,): H}
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            marginal(uniform_pair(), "C")
+        with pytest.raises(KeyError, match=re.escape("unknown variable(s): ['C', 'D']")):
+            marginal(uniform_pair(), ("A", "D", "C"))
 
 
 class TestEntropy:
@@ -412,3 +436,139 @@ class TestIntegerWeightProperties:
         groups = [variables[i][0] for i in ys]
         given_names = [variables[i][0] for i in given_pos]
         assert check_han_subsets(d, groups, given_names, r).slack == slack
+
+
+# ---------------------------------------------------------------------------
+# the subset-marginal lattice and the exact Han decision
+
+
+class TestMarginalLattice:
+    @PROPERTY
+    @given(st.data())
+    def test_every_marginal_is_the_direct_projection(self, data):
+        variables, weights = data.draw(weight_tables())
+        d = JointDistribution.from_weights(variables, weights)
+        n = len(variables)
+        keys = data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), unique=True).map(lambda p: tuple(sorted(p))),
+            max_size=12))
+        for key in keys:
+            got = _marginal_weights(d, key)
+            assert list(got.items()) == list(_project(d.weights, key).items())
+        for key, got in d._marginals.items():
+            assert list(got.items()) == list(_project(d.weights, key).items())
+
+    def test_memo_is_not_part_of_the_value(self):
+        rng = random.Random(4)
+        variables = (("X", 2), ("Y1", 3), ("Y2", 2))
+        a = random_rational_distribution(rng, variables)
+        b = JointDistribution.from_weights(variables, a.weights)
+        check_han_subsets(a, ("Y1", "Y2"), "X", 1)
+        assert len(a._marginals) > len(b._marginals)
+        assert [f.name for f in fields(a)] == ["variables", "weights", "total"]
+        assert a == b
+        assert repr(a) == repr(b)
+        assert a.to_json_dict() == b.to_json_dict()
+        # hash is over the fields: weights is a dict, so neither is hashable
+        for dist in (a, b):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(dist)
+
+    def test_han_calls_share_marginals(self):
+        rng = random.Random(6)
+        d = random_rational_distribution(rng, (("X", 2), ("Y1", 2), ("Y2", 2), ("Y3", 2)))
+        check_han_subsets(d, ("Y1", "Y2", "Y3"), "X", 2)
+        built = dict(d._marginals)
+        check_han_collection(d, ("Y1", "Y2", "Y3"), "X", [(0, 1), (1, 2), (2, 0)], 2)
+        assert d._marginals == built
+        assert all(d._marginals[key] is table for key, table in built.items())
+
+
+def spy_on(monkeypatch, name):
+    calls = []
+    real = getattr(info_theory, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(info_theory, name, spy)
+    return calls
+
+
+def conditionally_independent(rng, k, size=2):
+    """Weights a(x) * prod_i b_i(y_i | x): the Y_i are independent given X."""
+    a = [rng.randint(1, 9) for _ in range(size)]
+    b = [[[rng.randint(1, 9) for _ in range(size)] for _ in range(size)] for _ in range(k)]
+    weights = {}
+    for key in product(range(size), repeat=k + 1):
+        w = a[key[0]]
+        for i, y in enumerate(key[1:]):
+            w *= b[i][key[0]][y]
+        weights[key] = w
+    variables = (("X", size),) + tuple((f"Y{i + 1}", size) for i in range(k))
+    return JointDistribution.from_weights(variables, weights)
+
+
+class TestExactHanDecision:
+    def test_r_equals_k_cancels_to_no_powers(self, monkeypatch):
+        powers = spy_on(monkeypatch, "_weight_powers_ge")
+        rng = random.Random(8)
+        variables = (("X", 2), ("Y1", 2), ("Y2", 3), ("Y3", 2))
+        for _ in range(20):
+            d = random_rational_distribution(rng, variables)
+            res = check_han_subsets(d, ("Y1", "Y2", "Y3"), "X", 3)
+            assert res.holds and res.slack == 0.0
+        assert powers == [([], [])] * 20
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_conditionally_independent_ys_are_ties_at_every_r(self, monkeypatch, k):
+        exact = spy_on(monkeypatch, "_han_holds_exactly")
+        rng = random.Random(k)
+        groups = tuple(f"Y{i + 1}" for i in range(k))
+        for _ in range(5):
+            d = conditionally_independent(rng, k)
+            for r in range(1, k + 1):
+                res = check_han_subsets(d, groups, "X", r)
+                assert res.holds
+                assert abs(res.slack) <= _HAN_FILTER
+        assert len(exact) == 5 * k
+
+    def test_products_one_unit_apart(self):
+        # two cells (2, 2) give 2^2 2^2 = 16; moving one unit gives (1, 3), 3^3 = 27
+        even = {(0,): 2, (1,): 2}
+        skewed = {(0,): 1, (1,): 3}
+        assert not _weight_powers_ge([(even, 1)], [(skewed, 1)])
+        assert _weight_powers_ge([(skewed, 1)], [(even, 1)])
+        assert _weight_powers_ge([(even, 1)], [(even, 1)])
+        # 6^6 = (2^2)^3 (3^3)^2: a tie between different bases
+        six = {(0,): 6}
+        assert _weight_powers_ge([(six, 1)], [({(0,): 2}, 3), ({(0,): 3}, 2)])
+        assert _weight_powers_ge([({(0,): 2}, 3), ({(0,): 3}, 2)], [(six, 1)])
+        assert not _weight_powers_ge([({(0,): 2}, 3), ({(0,): 3}, 2)], [(six, 1), (even, 1)])
+        # 4^84 = 2^168 and 27^53 = 3^159 differ by 2e-5 bits in about 168,
+        # closer than one part in 2^52 of the logs the floats would compare
+        two, three = {(0,): 2}, {(0,): 3}
+        assert _weight_powers_ge([(two, 84)], [(three, 53)]) == (2 ** 168 >= 3 ** 159)
+        assert _weight_powers_ge([(three, 53)], [(two, 84)]) == (3 ** 159 >= 2 ** 168)
+
+    @PROPERTY
+    @given(st.data())
+    def test_exact_decision_agrees_with_clear_float_signs(self, data):
+        variables, weights = data.draw(weight_tables())
+        if len(variables) < 2:
+            return
+        d = JointDistribution.from_weights(variables, weights)
+        names = [n for n, _ in variables]
+        k = len(names) - 1
+        r = data.draw(st.integers(1, k))
+        h = math.comb(k - 1, r - 1)
+        subset_keys = [(0,) + tuple(i + 1 for i in s) for s in combinations(range(k), r)]
+        y_key = tuple(range(k + 1))
+        res = check_han_subsets(d, names[1:], names[0], r)
+        if abs(res.slack) > _HAN_FILTER:
+            assert _han_holds_exactly(d, (0,), y_key, subset_keys, h) == (res.slack > 0)
+        # one more copy of H(Y | X) on the right can fail: both signs get checked
+        slack = res.slack - conditional_entropy(d, names[1:], names[0])
+        if abs(slack) > _HAN_FILTER:
+            assert _han_holds_exactly(d, (0,), y_key, subset_keys, h + 1) == (slack > 0)
