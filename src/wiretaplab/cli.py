@@ -377,7 +377,10 @@ def cmd_wiretap2(args) -> int:
 # samples x C(k, r) x 2^(k+1) (2-vCPU VM, Python 3.11): about 0.45 us per
 # cell at k = 8 and k = 12, and 1.2 us at k = 4, where drawing each
 # sample costs more than its projections; so this cap is 30 to 80 s of
-# work.
+# work.  A sample whose slack is too close to 0 for its float sign takes
+# the exact test of info_theory, a few logs per distinct weight (see
+# _HAN_LOG_DIGITS there); at k = 3 and 4 only the r = k samples reach it,
+# and their marginals all cancel, so it costs nothing there.
 _HAN_CELL_CAP = 1 << 26
 
 

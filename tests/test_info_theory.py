@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from wiretaplab.info_theory import (
     _HAN_FILTER,
     JointDistribution,
     _entropy_of_weights,
+    _coprime_exponents,
     _han_holds_exactly,
     _marginal_weights,
     _project,
@@ -97,12 +99,12 @@ class TestConstruction:
         ({(0, 0): 1, (1, 1): -2, (0, 1): -3}, "negative weight -2"),
     ])
     def test_first_offending_key_named(self, weights, message):
-        # the column check rejects each table; the per-key pass names its first bad key
+        # keys are checked in order, so the first bad key is the one named
         with pytest.raises(ValueError, match=re.escape(message)):
             JointDistribution.from_weights((("A", 2), ("B", 2)), weights)
 
     def test_int_like_weights_and_values_accepted(self):
-        # the per-key pass accepts what the column check refuses: bools are ints
+        # bools are ints, as keys and as weights
         d = JointDistribution.from_weights((("A", 2),), {(False,): True, (1,): 2})
         assert d.weights == {(False,): 1, (1,): 2}
         assert d.total == 3
@@ -140,9 +142,13 @@ class TestMarginal:
         m = marginal(copied_bit(), "B")
         assert m.table == {(0,): H, (1,): H}
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match=re.escape("unknown variable(s): ['C', 'D']")):
-            marginal(uniform_pair(), ("A", "D", "C"))
+    @pytest.mark.parametrize("names, unknown", [
+        ("C", "['C']"),
+        (("A", "D", "C"), "['C', 'D']"),
+    ])
+    def test_unknown_name_raises(self, names, unknown):
+        with pytest.raises(KeyError, match=re.escape(f"unknown variable(s): {unknown}")):
+            marginal(uniform_pair(), names)
 
 
 class TestEntropy:
@@ -546,11 +552,71 @@ class TestExactHanDecision:
         assert _weight_powers_ge([(six, 1)], [({(0,): 2}, 3), ({(0,): 3}, 2)])
         assert _weight_powers_ge([({(0,): 2}, 3), ({(0,): 3}, 2)], [(six, 1)])
         assert not _weight_powers_ge([({(0,): 2}, 3), ({(0,): 3}, 2)], [(six, 1), (even, 1)])
-        # 4^84 = 2^168 and 27^53 = 3^159 differ by 2e-5 bits in about 168,
-        # closer than one part in 2^52 of the logs the floats would compare
+        # 4^1581 = 2^3162 and 27^665 = 3^1995 differ by 2e-4 bits in 3162
         two, three = {(0,): 2}, {(0,): 3}
-        assert _weight_powers_ge([(two, 84)], [(three, 53)]) == (2 ** 168 >= 3 ** 159)
-        assert _weight_powers_ge([(three, 53)], [(two, 84)]) == (3 ** 159 >= 2 ** 168)
+        assert not _weight_powers_ge([(two, 1581)], [(three, 665)])
+        assert _weight_powers_ge([(three, 665)], [(two, 1581)])
+
+    def test_coprime_exponents_cancel_ties(self):
+        # 6^6 = 4^3 27^2, and 101 103 against 101 and 103 (past the small primes)
+        assert _coprime_exponents({6: 6, 4: -3, 27: -2}) == {}
+        assert _coprime_exponents({101 * 103: 2, 101: -2, 103: -2}) == {}
+        assert _coprime_exponents({12: 1, 18: -1}) == {2: 1, 3: -1}
+        assert _coprime_exponents({101 * 103: 1, 101 * 107: -1}) == {103: 1, 107: -1}
+
+    @PROPERTY
+    @given(st.dictionaries(st.sampled_from([2, 6, 9, 12, 101, 202, 303, 101 * 103, 103 * 107,
+                                            107 * 107, 2 ** 40 * 101]),
+                           st.integers(-5, 5), max_size=8))
+    def test_coprime_exponents_keep_the_product(self, powers):
+        coprime = _coprime_exponents(powers)
+        product_of = lambda ps: math.prod(Fraction(b) ** e for b, e in ps.items())
+        assert product_of(coprime) == product_of(powers)
+        assert all(e and b > 1 for b, e in coprime.items())
+        assert all(math.gcd(b, c) == 1 for b, c in combinations(coprime, 2))
+
+    def test_undecided_log_comparison_raises_budget_error(self, monkeypatch):
+        # the logs of 2^3162 and 3^1995 agree to 7 digits
+        monkeypatch.setattr(info_theory, "_HAN_LOG_DIGITS", (3, 5))
+        with pytest.raises(BudgetError, match="not decided at 5 digits"):
+            _weight_powers_ge([({(0,): 2}, 1581)], [({(0,): 3}, 665)])
+
+    def test_near_tie_at_a_large_total(self, monkeypatch):
+        # conditionally independent Ys with weights near 10^6, then one
+        # unit added: the slack is a hair above 0 and the products have
+        # millions of bits, yet the first precision of the logs decides
+        refinements = spy_on(monkeypatch, "_coprime_exponents")
+        rng = random.Random(12)
+        k = 3
+        a = [rng.randint(900, 1000) for _ in range(2)]
+        b = [[[rng.randint(90, 100) for _ in range(2)] for _ in range(2)] for _ in range(k)]
+        weights = {}
+        for key in product(range(2), repeat=k + 1):
+            w = a[key[0]]
+            for i, y in enumerate(key[1:]):
+                w *= b[i][key[0]][y]
+            weights[key] = w
+        weights[(0,) * (k + 1)] += 1
+        variables = (("X", 2),) + tuple((f"Y{i + 1}", 2) for i in range(k))
+        d = JointDistribution.from_weights(variables, weights)
+        assert d.total > 10 ** 9
+        groups = ("Y1", "Y2", "Y3")
+        for r in (1, 2):
+            res = check_han_subsets(d, groups, "X", r)
+            assert res.holds
+            assert abs(res.slack) <= _HAN_FILTER
+            h = math.comb(k - 1, r - 1)
+            subset_keys = [(0,) + tuple(i + 1 for i in s)
+                           for s in combinations(range(k), r)]
+            y_key = tuple(range(k + 1))
+            sides = Counter({(0,): len(subset_keys) - h})
+            sides[y_key] += h
+            sides.subtract(subset_keys)
+            left = [(_marginal_weights(d, key), e) for key, e in sides.items() if e > 0]
+            right = [(_marginal_weights(d, key), -e) for key, e in sides.items() if e < 0]
+            # not a tie: the reversed comparison fails
+            assert not _weight_powers_ge(right, left)
+        assert refinements == []
 
     @PROPERTY
     @given(st.data())
