@@ -142,13 +142,13 @@ class TestMarginal:
         m = marginal(copied_bit(), "B")
         assert m.table == {(0,): H, (1,): H}
 
-    @pytest.mark.parametrize("names, unknown", [
-        ("C", "['C']"),
-        (("A", "D", "C"), "['C', 'D']"),
-    ])
-    def test_unknown_name_raises(self, names, unknown):
-        with pytest.raises(KeyError, match=re.escape(f"unknown variable(s): {unknown}")):
-            marginal(uniform_pair(), names)
+    def test_unknown_name_raises(self):
+        with pytest.raises(KeyError, match=re.escape("unknown variable(s): ['C']")):
+            marginal(uniform_pair(), "C")
+
+    def test_unknown_names_listed_sorted(self):
+        with pytest.raises(KeyError, match=re.escape("unknown variable(s): ['C', 'D']")):
+            marginal(uniform_pair(), ("A", "D", "C"))
 
 
 class TestEntropy:
