@@ -426,12 +426,12 @@ def _weight_powers_ge(left: Iterable[tuple[Mapping[tuple[int, ...], int], int]],
 def _han_holds_exactly(dist: JointDistribution, x_key: tuple[int, ...],
                        y_key: tuple[int, ...], subset_keys: Sequence[tuple[int, ...]],
                        h: int) -> bool:
-    """Sum_S H(Y_S | X) >= h H(Y | X), decided on integers.
+    """Sum_S H(Y_S | X) >= h H(Y | X), decided exactly.
 
     Multiplied by the total n it reads sum_S log2(P(X) / P(Y_S X)) >=
     h log2(P(X) / P(Y X)), that is P(X)^(|C| - h) P(Y X)^h >= prod_S
     P(Y_S X).  Marginals on the same positions cancel first, so r = k
-    takes no power at all.
+    takes no log at all.
     """
     exponents = Counter({x_key: len(subset_keys) - h})
     exponents[y_key] += h
