@@ -18,21 +18,18 @@ per-observation slices.  The objective n*H(M | view, W) is a sum over
 slices, and each slice term is log2 of a ratio of integers, so
 strategies are ranked by exact integer cross-multiplication.
 
-A passive tap forwards the view itself, so its slices are read off three
-columns over the atoms: M, the tapped view and one second-layer column
-W.  _tap_terms turns such a column triple into its per-view terms and
-its leakage; it is memoised with a bounded size, so sweeps whose codes
-share triples pay once per distinct triple.  Passive classification,
-the witness leakage of every class, the affine pair sweep and the
-scalar-linear grid row all go through it.
-
-A substitution map only changes the relay input of atoms whose first
-observation is v, through the value it gives v, so under active attacks
-the law of (M, Y3, Y4) given the view splits into one slice law per
-(view, admissible substituted value): d*d slices instead of d^d full
-laws.  Single-shot codes pick each slice's substitute independently; a
-two-shot view (vA, vB) sees the map at both vA and vB, so two-shot
-active classes enumerate maps, each looking up cached slice terms.
+Every slice term is read off three columns over the atoms: M, the
+tapped view and one second-layer column W, by _tap_terms, a memo of
+bounded size, so codes that share a column triple pay once.  A passive
+tap reads the code's own Y3 and Y4.  A substitution map only changes
+the relay input of atoms whose first observation is v, through the
+value it gives v, so the slice (v, x) of an active tap is the slice v
+of the constant map x: one pass over the atoms under the d constant
+maps (d^2 per-shot pairs for two-shot codes) gives every slice, d*d
+slices instead of d^d full laws.  Single-shot codes pick each slice's
+substitute independently; a two-shot view (vA, vB) sees the map at both
+vA and vB, so two-shot active classes enumerate maps, each looking up
+the slice terms.
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
 literally; they are the reference the optimiser is tested against.
@@ -323,31 +320,11 @@ def _level(objective: tuple[int, int], d: int, n: int) -> SecurityLevel:
     return SecurityLevel.IMPERFECT
 
 
-def _slice_objectives(slice_w: dict) -> tuple[tuple[int, int], ...]:
-    """n*H(M | Y3) and n*H(M | Y4) of one slice of (M, Y3, Y4) weights.
-
-    With c_w atoms showing W = w, c_mw of them carrying message m, the
-    slice contributes log2(prod c_w^c_w / prod c_mw^c_mw).
-    """
-    out = []
-    for col in (1, 2):
-        by_w: dict[int, dict] = {}
-        for key, c in slice_w.items():
-            counts = by_w.setdefault(key[col], {})
-            counts[key[0]] = counts.get(key[0], 0) + c
-        num = den = 1
-        for counts in by_w.values():
-            c_w = sum(counts.values())
-            num *= c_w ** c_w
-            for c in counts.values():
-                den *= c ** c
-        out.append((num, den))
-    return tuple(out)
-
-
-# One entry per distinct (M, tap, W) column triple.  The d=2 sweeps meet
-# a few hundred triples and the d=3 affine sweep 675, so a whole sweep
-# fits; the bound keeps a long-running process from growing without end.
+# One entry per distinct (M, tap, W) column triple, passive or active.
+# The d=2 sweeps meet a few hundred triples, the d=3 affine sweep 675, and
+# the grid at d = 2, 3, 4 with perfbench's twelve verdicts at d = 4, 5
+# 341, so a whole sweep fits; the bound keeps a long-running process from
+# growing without end.
 _TAP_MEMO_SIZE = 4096
 
 
@@ -360,9 +337,11 @@ def _tap_terms(messages: tuple[int, ...], tap: tuple[int, ...],
     first-layer view (a two-shot view (vA, vB) coded as vA*d + vB) and
     the symbol W on her second-layer edge, in atom order.  Returns
     (views, mi).  views holds one (v, objective, n_v, h) per observed
-    view v, in sorted order: the slice objective n_v*H(M | v, W) as the
-    integer ratio _slice_objectives gives, the atoms n_v showing v, and
-    h = H(M, W | v) - H(W | v) in floating point.  mi is I(M; view, W)
+    view v, in sorted order: the slice objective n_v*H(M | v, W), the
+    atoms n_v showing v, and h = H(M, W | v) - H(W | v) in floating
+    point.  With c_w of the n_v atoms showing W = w, c_mw of them
+    carrying message m, the objective is the integer ratio
+    (prod c_w^c_w, prod c_mw^c_mw).  mi is I(M; view, W)
     in floating point.  Counts are kept in atom order, so every caller
     sums the same floats in the same order.
     """
@@ -406,13 +385,14 @@ def _view_level(d: int, messages: tuple[int, ...], tap: tuple[int, ...],
 
 
 def _columns(code: OneHopCode, first_edge: int = 1,
-             modification: Optional[Sequence[int]] = None) -> tuple[tuple[int, ...], ...]:
-    """(M, Y1, Y2, Y3, Y4) over the atoms, column i what Eve reads on e(i).
+             substitutes: Sequence[Optional[Sequence[Sequence[int]]]] = (None,)
+             ) -> tuple[tuple[int, ...], ...]:
+    """(M, Y1, Y2) over the atoms, then (Y3, Y4) under each substitute.
 
-    Atoms run over encoder_inputs() x relay_random_values().  Y1 and Y2
-    hold the true first-layer symbols, a two-shot view (vA, vB) coded as
-    vA*d + vB.  The relay reads the symbols on first_edge through
-    modification in every shot; None forwards them unchanged.
+    Atoms run over encoder_inputs() x relay_random_values().  Column i of
+    the first three is what Eve reads on e(i), a two-shot view (vA, vB)
+    coded as vA*d + vB.  A substitute is one map per shot through which
+    the relay reads the symbol on first_edge; None forwards it unchanged.
     """
     d, pos = code.d, first_edge - 1
     relay_values = code.relay_random_values()
@@ -424,13 +404,19 @@ def _columns(code: OneHopCode, first_edge: int = 1,
             y1, y2 = first
         else:
             y1, y2 = first[0] * d + first[2], first[1] * d + first[3]
-        relay_in = first
-        if modification is not None:
-            relay_in = list(first)
-            relay_in[pos::2] = [modification[v] for v in first[pos::2]]
-            relay_in = tuple(relay_in)
+        relay_ins = []
+        for maps in substitutes:
+            relay_in = first
+            if maps is not None:
+                relay_in = list(first)
+                relay_in[pos::2] = [f[v] for f, v in zip(maps, first[pos::2])]
+                relay_in = tuple(relay_in)
+            relay_ins.append(relay_in)
         for lp in relay_values:
-            atoms.append((m, y1, y2) + code.relay_output(relay_in, lp))
+            row = (m, y1, y2)
+            for relay_in in relay_ins:
+                row += code.relay_output(relay_in, lp)
+            atoms.append(row)
     return tuple(zip(*atoms))
 
 
@@ -465,40 +451,33 @@ def _passive_optimum(d: int, shots: int, klass: AttackClass,
     return best
 
 
-def _substitutions(d: int, view: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Relay-side values some substitution map gives one view, lexicographic.
+def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
+    """(M, tap, slices) with one (xs, Y3, Y4, views) per per-shot substitute xs.
 
-    A map sends equal observations to equal values, so two shots that
-    saw the same symbol get the same substitute.
+    The relay reads the constant xs[i] on first_edge in shot i, so over
+    the atoms with view v, Y3 and Y4 are those of the slice (v, xs).
+    views maps each coded view that some map gives xs to the view: a map
+    sends equal observations to equal values.  Substitutes run in
+    lexicographic order, so substitute number v is the coded view v.
     """
-    return [xs for xs in product(range(d), repeat=len(view))
-            if view[0] != view[-1] or xs[0] == xs[-1]]
+    subs = list(product(range(code.d), repeat=code.shots))
+    columns = _columns(code, first_edge, [[(x,) * code.d for x in xs] for xs in subs])
+    return columns[0], columns[first_edge], [
+        (xs, y3, y4, {v: view for v, view in enumerate(subs)
+                      if view[0] != view[-1] or xs[0] == xs[-1]})
+        for xs, y3, y4 in zip(subs, columns[3::2], columns[4::2])]
 
 
-def _slice_laws(code: OneHopCode, first_edge: int) -> Iterator[tuple]:
-    """Exact (M, Y3, Y4) weights of every (view, admissible substitute) slice.
-
-    Yields ((view, substituted), weights) one slice at a time, the relay
-    re-evaluated for every admissible substitute.
-    """
-    pos = first_edge - 1
-    relay_values = code.relay_random_values()
-    atoms_of: dict[tuple, list] = {}
-    for key in code.encoder_inputs():
-        first = code.first_layer_symbols(key[0], key[1:])
-        # Eve's tapped symbol in every shot
-        atoms_of.setdefault(first[pos::2], []).append((key[0], first))
-    for view, atoms in atoms_of.items():
-        for xs in _substitutions(code.d, view):
-            slice_w: dict[tuple, int] = {}
-            for m, first in atoms:
-                relay_in = list(first)
-                relay_in[pos::2] = xs
-                relay_in = tuple(relay_in)
-                for lp in relay_values:
-                    y3, y4 = code.relay_output(relay_in, lp)
-                    slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
-            yield (view, xs), slice_w
+def _slice_terms(code: OneHopCode, first_edge: int) -> dict:
+    """Objectives with W = Y3 and W = Y4 of every slice (view, xs) some map reaches."""
+    messages, tap, slices = _slice_columns(code, first_edge)
+    objectives = {}
+    for xs, y3, y4, views in slices:
+        terms4 = _tap_terms(messages, tap, y4)[0]
+        for (v, obj3, _, _), (_, obj4, _, _) in zip(_tap_terms(messages, tap, y3)[0], terms4):
+            if v in views:
+                objectives[views[v], xs] = obj3, obj4
+    return objectives
 
 
 def _tap_candidates(code: OneHopCode, klass: AttackClass,
@@ -555,8 +534,7 @@ def _active_optimum(code: OneHopCode, klass: AttackClass) -> tuple:
     """(objective, first_edge, modification, selector) of an active class's first optimum."""
     best = None
     for first_edge in (1, 2):
-        objectives = {key: _slice_objectives(w) for key, w in _slice_laws(code, first_edge)}
-        cand = _first_min(_tap_candidates(code, klass, objectives))
+        cand = _first_min(_tap_candidates(code, klass, _slice_terms(code, first_edge)))
         if best is None or _less(cand[0], best[0]):
             best = cand + (first_edge,)
     objective, mod, edges, edge_of, first_edge = best
@@ -577,9 +555,9 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     objective n*H(M | view, W): it is 0 exactly when some view pins M,
     and n*H(M) exactly when no strategy leaks.
 
-    Passive classes read the objective off the column terms of each
-    (tap, W) pair (_tap_terms, a memo of bounded size); active classes
-    optimise over the (view, substitute) slices.
+    Every class reads the objective off the column terms of (tap, W)
+    pairs: passive classes off the code's own columns, active classes
+    off those of each (view, substitute) slice.
 
     The witness is the first maximum-leakage strategy in canonical order
     (first_edge, then modification, then selector): within a slice the
@@ -601,7 +579,7 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     d, s = code.d, code.shots
     if klass.is_active:
         objective, first_edge, mod, selector = _active_optimum(code, klass)
-        columns = _columns(code, first_edge, mod)
+        columns = _columns(code, first_edge, [(mod,) * s])
     else:
         columns = _columns(code)
         objective, first_edge, selector = _passive_optimum(d, s, klass, columns)
@@ -733,6 +711,12 @@ def classification_table(d_list: Sequence[int]) -> ClassificationTable:
     vector-linear code.  Columns map to deterministic-passive,
     deterministic-active, and adaptive-active attacks.
     """
+    for d in d_list:
+        if d < 2:
+            raise ValueError(f"alphabet size d must be >= 2, got {d}")
+        if d > _ACTIVE_MAP_CAP_D:
+            raise BudgetError(f"the grid classifies two-shot codes actively, which "
+                              f"enumerates d^d maps; out of budget for d > {_ACTIVE_MAP_CAP_D}")
     rows = []
     for d in d_list:
         rows.append(TableRow("scalar-linear", d, _scalar_linear_row(d)))
@@ -982,24 +966,24 @@ def linear_active_reduction_check(code: OneHopCode) -> bool:
     after a shift she can compute from her own first observation.  The
     slices are those classify optimises over; every (view, substitute)
     slice occurs under some map, so this covers all d^d maps.  Verified
-    by exact joint-law comparison over all candidate shifts; non-affine
-    codes are rejected.
+    by exact comparison of each slice's (M, W) counts over all candidate
+    shifts; non-affine codes are rejected.
     """
     if not code_is_affine(code):
         raise ValueError("code tables are not affine over Z_d")
     d = code.d
     for first_edge in (1, 2):
-        slices = dict(_slice_laws(code, first_edge))
-        for (view, _), active_slice in slices.items():
-            # the identity is admissible, and both slices hold the same atoms
-            passive_slice = slices[view, view]
-            for col in (1, 2):
-                active = _project(active_slice, (0, col))
-                passive = _project(passive_slice, (0, col))
-                if not any(all(passive.get((m, (w - delta) % d), 0) == wt
-                               for (m, w), wt in active.items())
-                           for delta in range(d)):
-                    return False
+        messages, tap, slices = _slice_columns(code, first_edge)
+        for col in (1, 2):
+            # (view, M, W) counts per substitute; substitute number v is the
+            # view v itself, so its slice v is the passive one
+            counts = [Counter(zip(tap, messages, s[col])) for s in slices]
+            for (_, _, _, views), active in zip(slices, counts):
+                for v in views.keys() & set(tap):
+                    if not any(all(counts[v][v, m, (w - delta) % d] == c
+                                   for (u, m, w), c in active.items() if u == v)
+                               for delta in range(d)):
+                        return False
     return True
 
 

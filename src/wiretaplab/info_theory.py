@@ -193,12 +193,21 @@ def _marginal_weights(dist: JointDistribution,
 
 
 def _entropy_of_weights(weights: Mapping[tuple[int, ...], int], total: int) -> float:
-    # H = log2(total) - sum(w log2 w)/total; exact ints feed the logs
+    # H = log2(total) - sum(w log2 w)/total; exact ints feed the logs.  A
+    # weight or total from 2^1024 cannot become a float, and the sum
+    # overflows to inf for totals from about 2^1014
     acc = 0.0
-    for w in weights.values():
-        if w > 1:
-            acc += w * math.log2(w)
-    return math.log2(total) - acc / total
+    try:
+        for w in weights.values():
+            if w > 1:
+                acc += w * math.log2(w)
+        h = math.log2(total) - acc / total
+        if math.isfinite(h):
+            return h
+    except OverflowError:
+        pass
+    raise ValueError("entropy needs weights whose sum of w*log2(w) stays below "
+                     "2**1024, the float range (every total below 2**1014 does)")
 
 
 def marginal(dist: JointDistribution, names: Names) -> JointDistribution:

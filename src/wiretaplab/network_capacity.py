@@ -267,11 +267,16 @@ class LayeredUnicastNetwork:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LayeredUnicastNetwork":
-        k = tuple(int(v) for v in data["k"])
-        r = tuple(int(v) for v in data["r"])
-        if "c" in data and int(data["c"]) != len(k):
+        try:
+            k = tuple(int(v) for v in data["k"])
+            r = tuple(int(v) for v in data["r"])
+            q, c = int(data["q"]), int(data.get("c", len(k)))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError('layered network needs JSON like {"k": [2, 2], '
+                             f'"r": [1, 1], "q": 2}}, with "c" optional: {exc}') from None
+        if c != len(k):
             raise ValueError("layer count c disagrees with len(k)")
-        return cls(k, r, int(data["q"]))
+        return cls(k, r, q)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from wiretaplab.attack_engine import (
     simulate_attack,
     table_mismatches,
 )
+from wiretaplab import attack_engine
 from wiretaplab.attack_engine import (
     _columns,
     _passive_pair_levels,
-    _slice_laws,
-    _slice_objectives,
+    _slice_terms,
     _tap_terms,
     _view_level,
 )
@@ -152,6 +152,74 @@ def literal_columns(code):
             for col, value in zip(cols, (key[0], y1, y2, y3, y4)):
                 col.append(value)
     return tuple(tuple(col) for col in cols)
+
+
+def slice_laws(code, first_edge):
+    """Oracle: exact (M, Y3, Y4) weights of every (view, admissible substitute) slice.
+
+    Yields ((view, substituted), weights) one slice at a time, the relay
+    re-evaluated for every admissible substitute.  A map sends equal
+    observations to equal values, so two shots that saw the same symbol
+    get the same substitute.
+    """
+    pos = first_edge - 1
+    relay_values = code.relay_random_values()
+    atoms_of = {}
+    for key in code.encoder_inputs():
+        first = code.first_layer_symbols(key[0], key[1:])
+        # Eve's tapped symbol in every shot
+        atoms_of.setdefault(first[pos::2], []).append((key[0], first))
+    for view, atoms in atoms_of.items():
+        for xs in product(range(code.d), repeat=len(view)):
+            if view[0] == view[-1] and xs[0] != xs[-1]:
+                continue
+            slice_w = {}
+            for m, first in atoms:
+                relay_in = list(first)
+                relay_in[pos::2] = xs
+                relay_in = tuple(relay_in)
+                for lp in relay_values:
+                    y3, y4 = code.relay_output(relay_in, lp)
+                    slice_w[m, y3, y4] = slice_w.get((m, y3, y4), 0) + 1
+            yield (view, xs), slice_w
+
+
+def slice_objectives(slice_w):
+    """Oracle: n*H(M | Y3) and n*H(M | Y4) of one slice of (M, Y3, Y4) weights.
+
+    With c_w atoms showing W = w, c_mw of them carrying message m, the
+    slice contributes log2(prod c_w^c_w / prod c_mw^c_mw).
+    """
+    out = []
+    for col in (1, 2):
+        by_w = {}
+        for key, c in slice_w.items():
+            counts = by_w.setdefault(key[col], {})
+            counts[key[0]] = counts.get(key[0], 0) + c
+        num = den = 1
+        for counts in by_w.values():
+            c_w = sum(counts.values())
+            num *= c_w ** c_w
+            for c in counts.values():
+                den *= c ** c
+        out.append((num, den))
+    return tuple(out)
+
+
+def slice_codes():
+    """Seeded single-shot codes at d = 2, 3, 4 and two-shot codes at d = 2, 3,
+    with and without relay randomness, and the d=2 vector-linear code."""
+    rng = random.Random(4096)
+    codes = [random_code(rng, d, 1, 1, i % 2) for d in (2, 3, 4) for i in range(4)]
+    codes += [random_code(rng, d, 2, 1 + i % 3, i % 2) for d in (2, 3) for i in range(4)]
+    codes.append(vector_linear_code(2))
+    return codes
+
+
+def assert_slice_terms_match_the_oracle(code):
+    for first_edge in (1, 2):
+        want = {key: slice_objectives(w) for key, w in slice_laws(code, first_edge)}
+        assert _slice_terms(code, first_edge) == want, (code.name, first_edge)
 
 
 class TestEnumerateAttacks:
@@ -320,38 +388,41 @@ class TestClassify:
 
     def test_two_shot_slices_are_admissible(self):
         # a map gives equal observations equal substitutes, so a view that
-        # saw one symbol twice has d slices and any other view has d^2
+        # saw one symbol twice has d slices and any other view has d^2; the
+        # column form holds exactly those slices, with the oracle's terms
         d = 3
-        keys = [key for key, _ in _slice_laws(vector_linear_code(d), 1)]
+        keys = list(_slice_terms(vector_linear_code(d), 1))
         assert len(keys) == len(set(keys))
         assert sorted(keys) == sorted(
             (view, xs) for view in product(range(d), repeat=2)
             for xs in product(range(d), repeat=2)
             if view[0] != view[1] or xs[0] == xs[1])
+        for code in [vector_linear_code(d)] + slice_codes():
+            if code.shots == 2:
+                assert_slice_terms_match_the_oracle(code)
 
     def test_passive_slices_are_the_identity_slices_of_the_active_path(self):
-        # the passive path reads each view's objective off three columns;
-        # the active path re-evaluates the relay per (view, substitute)
-        # slice, and its (view, view) slices are the passive ones
-        rng = random.Random(4096)
-        codes = [random_code(rng, d, 1, 1, i % 2) for d in (2, 3, 4) for i in range(4)]
-        codes.append(vector_linear_code(2))
-        for code in codes:
+        # the passive path reads each view's objective off the code's own
+        # columns; the oracle re-evaluates the relay per (view, substitute)
+        # slice, and its (view, view) slices are the passive ones.  The
+        # active path reads every slice off the columns of constant maps
+        for code in slice_codes():
             columns = literal_columns(code)
             assert _columns(code) == columns, code.name
             messages = columns[0]
             for first_edge in (1, 2):
                 want = {}
-                for (view, xs), weights in _slice_laws(code, first_edge):
+                for (view, xs), weights in slice_laws(code, first_edge):
                     if view == xs:
                         coded = view[0] if code.shots == 1 else view[0] * code.d + view[1]
-                        want[coded] = (_slice_objectives(weights), sum(weights.values()))
+                        want[coded] = (slice_objectives(weights), sum(weights.values()))
                 views3 = _tap_terms(messages, columns[first_edge], columns[3])[0]
                 views4 = _tap_terms(messages, columns[first_edge], columns[4])[0]
                 got = {v: ((obj3, obj4), n_v)
                        for (v, obj3, n_v, _), (_, obj4, _, _) in zip(views3, views4)}
                 assert got == want, (code.name, first_edge)
                 assert [v for v, *_ in views3] == sorted(want)
+            assert_slice_terms_match_the_oracle(code)
 
     def test_active_budget(self):
         # two-shot active classes enumerate d^d maps and stop at d > 6;
@@ -721,6 +792,46 @@ class TestLinearActiveReduction:
         assert not code_is_affine(standard_nonlinear_code(2))
         with pytest.raises(ValueError):
             linear_active_reduction_check(standard_nonlinear_code(2))
+
+    def test_slice_test_matches_the_slice_law_oracle(self, monkeypatch):
+        # the shift test itself, on codes of every kind: with the affinity
+        # gate lifted it must agree with the same test on the oracle's
+        # slice laws, and it must fail somewhere
+        def oracle(code):
+            for first_edge in (1, 2):
+                slices = dict(slice_laws(code, first_edge))
+                for (view, _), active_slice in slices.items():
+                    passive_slice = slices[view, view]
+                    for col in (1, 2):
+                        active, passive = {}, {}
+                        for law, out in ((active_slice, active), (passive_slice, passive)):
+                            for key, c in law.items():
+                                out[key[0], key[col]] = out.get((key[0], key[col]), 0) + c
+                        if not any(all(passive.get((m, (w - delta) % code.d), 0) == c
+                                       for (m, w), c in active.items())
+                                   for delta in range(code.d)):
+                            return False
+            return True
+
+        # a two-shot code whose relay leaves the passive form only on inputs
+        # that substitute two different values for one symbol seen twice:
+        # e(1) carries (s1, s2), e(2) carries (M, [s1 == s2]), and Y4 = M
+        # where the e(1) inputs differ although e(2) says they were equal.
+        # No map reaches those inputs, so the test passes
+        d = 2
+        encoder = {(m, s1, s2): ((s1, m), (s2, int(s1 == s2)))
+                   for m, s1, s2 in product(range(d), repeat=3)}
+        relay = {(a, c, b, e): (c, c if a != b and e == 1 else 0)
+                 for a, c, b, e in product(range(d), repeat=4)}
+        decoder = {(y3, y4): y3 for y3, y4 in product(range(d), repeat=2)}
+        reached_by_no_map = OneHopCode(d, 2, 2, False, encoder, relay, decoder)
+
+        monkeypatch.setattr(attack_engine, "code_is_affine", lambda code: True)
+        codes = slice_codes() + [standard_nonlinear_code(d) for d in (2, 3)]
+        codes += [scalar_linear_code(3), vector_linear_code(3), reached_by_no_map]
+        results = [linear_active_reduction_check(code) for code in codes]
+        assert results == [oracle(code) for code in codes]
+        assert False in results and results[-1]
 
     def test_affinity_detector(self):
         assert code_is_affine(scalar_linear_code(3))

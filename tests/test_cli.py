@@ -203,6 +203,37 @@ class TestExitCodes:
         assert code == 2
         assert "d must be >= 2" in err
 
+    @pytest.mark.parametrize("d", ["0", "-1", "3,1"])
+    def test_table_d_below_two_is_2(self, capsys, d):
+        # refused before any row is classified, even after a valid d
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--table", "--d", d)
+        assert code == 2
+        assert out == ""
+        assert "d must be >= 2" in err
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("d", ["7", "8", "2,7"])
+    def test_table_d_past_the_map_cap_is_3(self, capsys, d):
+        # the d^6 scalar-linear row would run for seconds before the
+        # two-shot row hit the d^d map budget; the grid is refused first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--table", "--d", d)
+        assert code == 3
+        assert out == ""
+        assert "budget" in err and "d > 6" in err
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("layered", [
+        "null", "[1]", '"k"', '{"k":2,"r":[1],"q":2}', '{"k":[[2]],"r":[1],"q":2}',
+        '{"k":[2],"r":[1]}', '{"k":[2],"r":[1],"q":1e400}', '{"k":[2],"r":[1],"q":2,"c":null}',
+    ])
+    def test_layered_json_of_the_wrong_shape_is_2(self, capsys, layered):
+        code, out, err = run(capsys, "capacity", "--layered", layered)
+        assert code == 2
+        assert out == ""
+        assert "layered network needs JSON like" in err
+
     @pytest.mark.parametrize("z, m", [("7", "0"), ("0", "-1")])
     def test_xi_outside_zd_is_2(self, capsys, tmp_path, z, m):
         a, b = reference_decodable_pair(3)

@@ -168,6 +168,24 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(uniform_pair(), ())
 
+    @pytest.mark.parametrize("weights", [
+        # a weight past the float range: int-to-float conversion overflows
+        {(0, 0): 2 ** 1100, (1, 1): 3},
+        # floats hold the weights, but sum(w * log2(w)) overflows to inf
+        {(0, 0): 2 ** 1019, (1, 1): 2 ** 1019 + 1},
+    ])
+    def test_weights_past_the_float_range_raise_value_error(self, weights):
+        d = JointDistribution.from_weights((("A", 2), ("B", 2)), weights)
+        limit = re.escape("2**1024, the float range")
+        with pytest.raises(ValueError, match=limit):
+            entropy(d, "A")
+        with pytest.raises(ValueError, match=limit):
+            check_han_subsets(d, ("A", "B"), (), 1)
+
+    def test_large_weights_inside_the_float_range(self):
+        d = JointDistribution.from_weights((("A", 2),), {(0,): 2 ** 1012, (1,): 2 ** 1012 + 1})
+        assert entropy(d, "A") == 1.0
+
     def test_conditional_identity(self):
         d = copied_bit()
         assert conditional_entropy(d, "A", "B") == pytest.approx(0.0, abs=1e-12)

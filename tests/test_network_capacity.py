@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretaplab.network_capacity import (
     LayeredUnicastNetwork,
@@ -42,9 +44,32 @@ def random_pseudo_free_dag(rng, n_nodes):
     return WiretapNetwork(tuple(nodes), tuple(edges))
 
 
+@st.composite
+def random_dag_networks(draw):
+    """A network with random names, roles, flags and (multi-)edges along a random order."""
+    # node ids are whitespace-free tokens without the comment mark
+    names = draw(st.lists(st.text("abzST019_-.:é", min_size=1, max_size=4),
+                          min_size=2, max_size=8, unique=True))
+    n = len(names)
+    source, terminal = draw(st.permutations(range(n)))[:2]
+    nodes = []
+    for i, name in enumerate(names):
+        role = "source" if i == source else "terminal" if i == terminal else "intermediate"
+        nodes.append((name, NodeInfo(role, draw(st.booleans()), draw(st.booleans()))))
+    order = draw(st.permutations(names))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = tuple((order[i], order[j]) for i, j in draw(st.lists(pairs, max_size=12)))
+    return WiretapNetwork(tuple(nodes), edges)
+
+
 class TestNetworkParsing:
     def test_round_trip(self):
         net = fig1_network()
+        assert WiretapNetwork.from_text(net.to_text()) == net
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(random_dag_networks())
+    def test_round_trip_random_dags(self, net):
         assert WiretapNetwork.from_text(net.to_text()) == net
 
     def test_bad_lines_rejected(self):

@@ -1,5 +1,7 @@
 """Every text parser either parses or raises ValueError, whatever the text."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +10,7 @@ from wiretaplab.anti_latin import AntiLatinSquare
 from wiretaplab.network_capacity import (
     FIG1_NETWORK_TEXT,
     ONE_HOP_NETWORK_TEXT,
+    LayeredUnicastNetwork,
     WiretapNetwork,
 )
 
@@ -68,3 +71,21 @@ def test_anti_latin_square_from_text(text):
 @given(texts(FIG1_NETWORK_TEXT, ONE_HOP_NETWORK_TEXT))
 def test_wiretap_network_from_text(text):
     parses_or_value_error(WiretapNetwork.from_text, text)
+
+
+# any JSON value, objects over the keys the layered form reads; scalars
+# at the edges of int(): non-numbers, fractions, infinities, NaN, big ints
+JSON_SCALARS = st.one_of(st.integers(-3, 5), st.sampled_from(
+    [None, True, False, 2 ** 70, -2 ** 70, 0.5, 2.0, -1e300, float("inf"),
+     float("-inf"), float("nan"), "", "2", " 3 ", "k", "½", "1e3", "0x10"]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.dictionaries(st.sampled_from(["k", "r", "q", "c", "x"]), children, max_size=5)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_layered_network_from_json_dict(value):
+    # what json.loads can return: round-trip the value, infinities and NaN included
+    parses_or_value_error(LayeredUnicastNetwork.from_json_dict, json.loads(json.dumps(value)))
