@@ -18,15 +18,14 @@ per-observation slices.  The objective n*H(M | view, W) is a sum over
 slices, and each slice term is log2 of a ratio of integers, so
 strategies are ranked by exact integer cross-multiplication.
 
-Every slice term is read off three columns over the atoms: M, the
-tapped view and one second-layer column W, by _tap_terms, a memo of
-bounded size, so codes that share a column triple pay once.  A passive
-tap reads the code's own Y3 and Y4.  A substitution map only changes
-the relay input of atoms whose first observation is v, through the
-value it gives v, so the slice (v, x) of an active tap is the slice v
-of the constant map x: one pass over the atoms under the d constant
-maps (d^2 per-shot pairs for two-shot codes) gives every slice, d*d
-slices instead of d^d full laws.  Single-shot codes pick each slice's
+Every slice term is read off three columns over the atoms (M, the
+tapped view and one second-layer column W) by _tap_terms, a memo of
+bounded size.  A passive tap reads the code's own Y3 and Y4.  A map
+changes the relay input of atoms that observed v only through the value
+x it gives v, so the active slice (v, x) is the slice v under the
+constant map x: one pass over the atoms under the d constant maps (d^2
+per-shot pairs for two-shot codes) gives every slice, d*d slices
+instead of d^d full laws.  Single-shot codes pick each slice's
 substitute independently; a two-shot view (vA, vB) sees the map at both
 vA and vB, so two-shot active classes enumerate maps, each looking up
 the slice terms.
@@ -331,19 +330,18 @@ _TAP_MEMO_SIZE = 4096
 @lru_cache(maxsize=_TAP_MEMO_SIZE)
 def _tap_terms(messages: tuple[int, ...], tap: tuple[int, ...],
                w: tuple[int, ...]) -> tuple[tuple[tuple, ...], float]:
-    """Every term a passive tap contributes, read off three atom columns.
+    """Every term a tap contributes through W, read off three atom columns.
 
     messages, tap and w give each equally likely atom's message, Eve's
     first-layer view (a two-shot view (vA, vB) coded as vA*d + vB) and
     the symbol W on her second-layer edge, in atom order.  Returns
     (views, mi).  views holds one (v, objective, n_v, h) per observed
-    view v, in sorted order: the slice objective n_v*H(M | v, W), the
-    atoms n_v showing v, and h = H(M, W | v) - H(W | v) in floating
-    point.  With c_w of the n_v atoms showing W = w, c_mw of them
-    carrying message m, the objective is the integer ratio
-    (prod c_w^c_w, prod c_mw^c_mw).  mi is I(M; view, W)
-    in floating point.  Counts are kept in atom order, so every caller
-    sums the same floats in the same order.
+    view v, in sorted order: the slice objective n_v*H(M | v, W) as the
+    integer ratio (prod c_w^c_w, prod c_mw^c_mw), with c_w atoms showing
+    (v, W = w) and c_mw of them carrying message m, the atoms n_v showing
+    v, and h = H(M, W | v) - H(W | v) in floating point.  mi is
+    I(M; view, W) in floating point.  Counts are kept in atom order, so
+    every caller sums the same floats in the same order.
     """
     slices: dict[int, dict] = {}
     joint: dict[tuple[int, int, int], int] = {}
@@ -385,14 +383,15 @@ def _view_level(d: int, messages: tuple[int, ...], tap: tuple[int, ...],
 
 
 def _columns(code: OneHopCode, first_edge: int = 1,
-             substitutes: Sequence[Optional[Sequence[Sequence[int]]]] = (None,)
+             substitutes: Optional[Sequence[Sequence[Sequence[int]]]] = None
              ) -> tuple[tuple[int, ...], ...]:
-    """(M, Y1, Y2) over the atoms, then (Y3, Y4) under each substitute.
+    """(M, Y1, Y2, Y3, Y4) over the atoms, or (M, Y1, Y2) and (Y3, Y4) per substitute.
 
     Atoms run over encoder_inputs() x relay_random_values().  Column i of
     the first three is what Eve reads on e(i), a two-shot view (vA, vB)
     coded as vA*d + vB.  A substitute is one map per shot through which
-    the relay reads the symbol on first_edge; None forwards it unchanged.
+    the relay reads the symbol on first_edge; without substitutes the
+    relay reads the symbols unchanged.
     """
     d, pos = code.d, first_edge - 1
     relay_values = code.relay_random_values()
@@ -404,14 +403,15 @@ def _columns(code: OneHopCode, first_edge: int = 1,
             y1, y2 = first
         else:
             y1, y2 = first[0] * d + first[2], first[1] * d + first[3]
+        if substitutes is None:
+            for lp in relay_values:
+                atoms.append((m, y1, y2) + code.relay_output(first, lp))
+            continue
         relay_ins = []
         for maps in substitutes:
-            relay_in = first
-            if maps is not None:
-                relay_in = list(first)
-                relay_in[pos::2] = [f[v] for f, v in zip(maps, first[pos::2])]
-                relay_in = tuple(relay_in)
-            relay_ins.append(relay_in)
+            relay_in = list(first)
+            relay_in[pos::2] = [f[v] for f, v in zip(maps, first[pos::2])]
+            relay_ins.append(tuple(relay_in))
         for lp in relay_values:
             row = (m, y1, y2)
             for relay_in in relay_ins:
@@ -454,11 +454,10 @@ def _passive_optimum(d: int, shots: int, klass: AttackClass,
 def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
     """(M, tap, slices) with one (xs, Y3, Y4, views) per per-shot substitute xs.
 
-    The relay reads the constant xs[i] on first_edge in shot i, so over
-    the atoms with view v, Y3 and Y4 are those of the slice (v, xs).
-    views maps each coded view that some map gives xs to the view: a map
-    sends equal observations to equal values.  Substitutes run in
-    lexicographic order, so substitute number v is the coded view v.
+    The relay reads xs[i] on first_edge in shot i, so over the atoms with
+    view v, Y3 and Y4 are those of the slice (v, xs).  views maps each
+    coded view some map gives xs to the view (a map sends equal symbols
+    to equal values).  Substitute number v is the coded view v itself.
     """
     subs = list(product(range(code.d), repeat=code.shots))
     columns = _columns(code, first_edge, [[(x,) * code.d for x in xs] for xs in subs])
@@ -709,14 +708,16 @@ def classification_table(d_list: Sequence[int]) -> ClassificationTable:
     linear family (exhausted over affine relay tables), the standard
     non-linear code at d=2, an anti-Latin code for d>2, and the two-shot
     vector-linear code.  Columns map to deterministic-passive,
-    deterministic-active, and adaptive-active attacks.
+    deterministic-active, and adaptive-active attacks.  Every d is
+    checked before the first row: ValueError for d < 2, BudgetError for
+    d > 6, where the two-shot map enumeration stops.
     """
     for d in d_list:
         if d < 2:
             raise ValueError(f"alphabet size d must be >= 2, got {d}")
         if d > _ACTIVE_MAP_CAP_D:
-            raise BudgetError(f"the grid classifies two-shot codes actively, which "
-                              f"enumerates d^d maps; out of budget for d > {_ACTIVE_MAP_CAP_D}")
+            raise BudgetError(f"two-shot active rows enumerate d^d maps; "
+                              f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
     rows = []
     for d in d_list:
         rows.append(TableRow("scalar-linear", d, _scalar_linear_row(d)))

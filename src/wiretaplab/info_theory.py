@@ -193,9 +193,8 @@ def _marginal_weights(dist: JointDistribution,
 
 
 def _entropy_of_weights(weights: Mapping[tuple[int, ...], int], total: int) -> float:
-    # H = log2(total) - sum(w log2 w)/total; exact ints feed the logs.  A
-    # weight or total from 2^1024 cannot become a float, and the sum
-    # overflows to inf for totals from about 2^1014
+    # H = log2(total) - sum(w log2 w)/total; exact ints feed the logs.  Past
+    # the float range (2^1024) a weight or total overflows, or the sum reads inf
     acc = 0.0
     try:
         for w in weights.values():
@@ -206,8 +205,7 @@ def _entropy_of_weights(weights: Mapping[tuple[int, ...], int], total: int) -> f
             return h
     except OverflowError:
         pass
-    raise ValueError("entropy needs weights whose sum of w*log2(w) stays below "
-                     "2**1024, the float range (every total below 2**1014 does)")
+    raise ValueError("entropy needs sum(w*log2(w)) below 2**1024, the float range")
 
 
 def marginal(dist: JointDistribution, names: Names) -> JointDistribution:

@@ -266,7 +266,7 @@ class LayeredUnicastNetwork:
         return len(self.k)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LayeredUnicastNetwork":
+    def from_json_dict(cls, data: object) -> "LayeredUnicastNetwork":
         try:
             k = tuple(int(v) for v in data["k"])
             r = tuple(int(v) for v in data["r"])

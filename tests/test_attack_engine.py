@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiretaplab import attack_engine
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.attack_engine import (
     AttackClass,
@@ -24,7 +25,6 @@ from wiretaplab.attack_engine import (
     simulate_attack,
     table_mismatches,
 )
-from wiretaplab import attack_engine
 from wiretaplab.attack_engine import (
     _columns,
     _passive_pair_levels,
