@@ -404,14 +404,13 @@ def _columns(code: OneHopCode, first_edge: int = 1,
         else:
             y1, y2 = first[0] * d + first[2], first[1] * d + first[3]
         if substitutes is None:
-            for lp in relay_values:
-                atoms.append((m, y1, y2) + code.relay_output(first, lp))
-            continue
-        relay_ins = []
-        for maps in substitutes:
-            relay_in = list(first)
-            relay_in[pos::2] = [f[v] for f, v in zip(maps, first[pos::2])]
-            relay_ins.append(tuple(relay_in))
+            relay_ins = (first,)
+        else:
+            relay_ins = []
+            for maps in substitutes:
+                relay_in = list(first)
+                relay_in[pos::2] = [f[v] for f, v in zip(maps, first[pos::2])]
+                relay_ins.append(tuple(relay_in))
         for lp in relay_values:
             row = (m, y1, y2)
             for relay_in in relay_ins:

@@ -267,13 +267,16 @@ class LayeredUnicastNetwork:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "LayeredUnicastNetwork":
-        try:
-            k = tuple(int(v) for v in data["k"])
-            r = tuple(int(v) for v in data["r"])
-            q, c = int(data["q"]), int(data.get("c", len(k)))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError('layered network needs JSON like {"k": [2, 2], '
-                             f'"r": [1, 1], "q": 2}}, with "c" optional: {exc}') from None
+        shape = ('layered network needs JSON like {"k": [2, 2], "r": [1, 1], '
+                 '"q": 2}, with "c" optional')
+        if not isinstance(data, dict) or not {"k", "r", "q"} <= data.keys():
+            raise ValueError(f"{shape}: need an object with keys k, r and q")
+        k, r, q = data["k"], data["r"], data["q"]
+        # int() would truncate 2.7 and read "22" as a layer list; take JSON integers only
+        if not (isinstance(k, list) and isinstance(r, list) and all(
+                type(v) is int for v in [*k, *r, q, data.get("c", len(k))])):
+            raise ValueError(f"{shape}: k and r must be lists of integers, q and c integers")
+        k, r, c = tuple(k), tuple(r), data.get("c", len(k))
         if c != len(k):
             raise ValueError("layer count c disagrees with len(k)")
         return cls(k, r, q)

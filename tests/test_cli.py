@@ -227,6 +227,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("layered", [
         "null", "[1]", '"k"', '{"k":2,"r":[1],"q":2}', '{"k":[[2]],"r":[1],"q":2}',
         '{"k":[2],"r":[1]}', '{"k":[2],"r":[1],"q":1e400}', '{"k":[2],"r":[1],"q":2,"c":null}',
+        # int() would read these as other networks: two layers, and k=(2,), r=(1,), q=2
+        '{"k":"22","r":"11","q":"3"}', '{"k":[2.7],"r":[1.9],"q":2.5}',
+        '{"k":[true,2],"r":[0,1],"q":2}',
     ])
     def test_layered_json_of_the_wrong_shape_is_2(self, capsys, layered):
         code, out, err = run(capsys, "capacity", "--layered", layered)
