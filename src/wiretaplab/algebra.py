@@ -3,7 +3,8 @@
 Everything here is integer residue arithmetic: no floating point is used
 anywhere in this module.  Determinants are computed with fraction-free
 (Bareiss) elimination over the integers and reduced by the modulus at the
-end, so they are exact over any Z_d, prime or not.
+end, so they are exact over any Z_d, prime or not.  Ranks are taken over
+F_p only.
 """
 
 from __future__ import annotations
@@ -82,6 +83,31 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return _int_det([list(self.row(i)) for i in range(self.rows)]) % self.modulus
+
+    def rank(self) -> int:
+        """Rank over the field F_p, p the modulus, by Gaussian elimination.
+
+        Requires a prime modulus: over Z_d with zero divisors, rank is not
+        a well-defined notion.
+        """
+        p = self.modulus
+        if not is_prime(p):
+            raise ValueError(f"rank needs a prime modulus, got {p}")
+        rows = [list(self.row(i)) for i in range(self.rows)]
+        rank = 0
+        for col in range(self.cols):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = pow(rows[rank][col], -1, p)
+            top = [v * inv % p for v in rows[rank]]
+            for i in range(rank + 1, len(rows)):
+                f = rows[i][col]
+                if f:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+            rank += 1
+        return rank
 
     def mat_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Row-vector times matrix: returns vec . self (length = cols)."""

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .algebra import Matrix, build_mds_generator, is_prime
@@ -44,6 +44,11 @@ class WiretapNetwork:
 
     def __post_init__(self) -> None:
         ids = [n for n, _ in self.nodes]
+        for n in ids:
+            # the text form splits lines on whitespace and drops '#' comments
+            if not (isinstance(n, str) and n.split() == [n] and "#" not in n):
+                raise ValueError(f"node id {n!r} must be one token without "
+                                 f"whitespace or '#'")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
         roles = [info.role for _, info in self.nodes]
@@ -328,7 +333,9 @@ class WiretapIICode:
     The codeword is scrambles . G plus the message padded into the last
     k - r positions, where G is the systematic MDS generator; any r
     tapped symbols are an invertible image of the r uniform scrambles
-    and therefore independent of the message.
+    and therefore independent of the message.  A code built directly may
+    carry any r x k generator over the prime field F_q (none when r = 0);
+    wiretap2_verify then measures what it leaks.
     """
 
     k: int
@@ -336,16 +343,24 @@ class WiretapIICode:
     q: int
     generator: Optional[Matrix]
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.r < self.k:
+            raise ValueError(f"need 0 <= r < k, got k={self.k}, r={self.r}")
+        if not is_prime(self.q):
+            raise ValueError(f"q={self.q} is not prime")
+        g = self.generator
+        if (g is None) != (self.r == 0):
+            raise ValueError("need a generator exactly when r > 0")
+        if g is not None and not (isinstance(g, Matrix) and (g.rows, g.cols, g.modulus)
+                                  == (self.r, self.k, self.q)):
+            raise ValueError(f"generator must be an r x k = {self.r} x {self.k} "
+                             f"Matrix mod q = {self.q}")
+
     @classmethod
     def build(cls, k: int, r: int, q: int) -> "WiretapIICode":
-        if not 0 <= r < k:
-            raise ValueError(f"need 0 <= r < k, got k={k}, r={r}")
-        if not is_prime(q):
-            raise ValueError(f"q={q} is not prime")
         if q < k:
             raise ValueError(f"need q >= k for the MDS construction, got q={q}")
-        generator = build_mds_generator(k, r, q) if r > 0 else None
-        return cls(k, r, q, generator)
+        return cls(k, r, q, build_mds_generator(k, r, q) if r > 0 else None)
 
     @property
     def message_length(self) -> int:
@@ -395,62 +410,45 @@ class Wiretap2Report:
                 "all_taps_zero": self.all_taps_zero}
 
 
-# One visit is one codeword seen through one tap subset: about 4 us
-# (2-vCPU VM, Python 3.11), so the cap is about half a minute of work.
-_WIRETAP2_VISIT_CAP = 1 << 23
+# Work units of 0.15 to 0.8 us (2-vCPU VM, Python 3.11): a tap subset
+# costs (r + 6)^2, two eliminations of at most 2r x r entries plus a
+# fixed overhead ((k, r) = (20, 10) would take 37 s), and the decode check
+# 2 k^2 (r + 1), k unit vectors through the encoder and the decoder
+# (k = 4000, r = 1 takes 39 s).  So the cap is about half a minute.
+_WIRETAP2_WORK_CAP = 1 << 25
 
 
 def wiretap2_verify(code: WiretapIICode) -> Wiretap2Report:
-    """Exhaustive check: exact zero leakage on every r-subset, full decode.
+    """Exact leakage of every r-subset of taps, and a full decode check.
 
-    Builds the exact joint law over uniform messages and scrambles; each
-    tap subset must show message-independent view counts (an integer
-    test), and the full codeword must decode every input.  Raises
-    BudgetError, before any work, when the q^k codewords times the
-    C(k, r) tap subsets exceed _WIRETAP2_VISIT_CAP.
+    A tap subset S sees X_S = s . G_S + m . E_S for uniform scrambles s
+    and message m, E_S the message padding on S.  Both are linear images
+    of uniform inputs, so I(M; X_S) = (rank_q [G_S; E_S] - rank_q G_S)
+    log2 q, which an MDS G makes zero on every S.  Encoding and decoding
+    are linear in (message, scrambles), so decoding the k unit vectors
+    checks every input.  Raises BudgetError, before any elimination, when
+    the C(k, r) tap subsets and the decode check exceed
+    _WIRETAP2_WORK_CAP.
     """
     q, k, r = code.q, code.k, code.r
-    visits = q ** k * math.comb(k, r)
-    if visits > _WIRETAP2_VISIT_CAP:
-        raise BudgetError(f"{q}^{k} codewords x C({k}, {r}) tap subsets = {visits} "
-                          f"visits exceed the cap of {_WIRETAP2_VISIT_CAP}")
-    decode_ok = True
-    # joint counts per subset: (message tuple, view tuple) -> count
-    subsets = list(combinations(range(k), r)) if r > 0 else [()]
-    counts: dict[tuple, dict] = {s: {} for s in subsets}
-    msg_count = 0
-    for message in product(range(q), repeat=code.message_length):
-        msg_count += 1
-        for scrambles in product(range(q), repeat=r):
-            word = wiretap2_encode(code, message, scrambles)
-            if wiretap2_decode(code, word) != message:
-                decode_ok = False
-            for s in subsets:
-                view = tuple(word[i] for i in s)
-                slot = counts[s].setdefault(view, {})
-                slot[message] = slot.get(message, 0) + 1
-    max_leak = 0.0
-    all_zero = True
-    for s in subsets:
-        for view, per_message in counts[s].items():
-            values = set(per_message.values())
-            if len(per_message) != msg_count or len(values) != 1:
-                all_zero = False
-    if not all_zero:
-        # quantify the worst leakage for the report
-        from .info_theory import JointDistribution, mutual_information
-        for s in subsets:
-            weights = {}
-            for view, per_message in counts[s].items():
-                for message, w in per_message.items():
-                    weights[message + view] = w
-            mvars = [(f"M{i}", q) for i in range(code.message_length)]
-            vvars = [(f"X{i}", q) for i in range(len(s))]
-            dist = JointDistribution.from_weights(mvars + vvars, weights)
-            leak = mutual_information(
-                dist, [n for n, _ in mvars], [n for n, _ in vvars]) if s else 0.0
-            max_leak = max(max_leak, leak)
-    return Wiretap2Report(k, r, q, decode_ok, len(subsets), max_leak, all_zero)
+    subsets = math.comb(k, r)
+    work = subsets * (r + 6) ** 2 + 2 * k * k * (r + 1)
+    if work > _WIRETAP2_WORK_CAP:
+        raise BudgetError(f"C({k}, {r}) = {subsets} tap subsets and a decode check "
+                          f"of {k} unit vectors: {work} work units exceed the cap "
+                          f"of {_WIRETAP2_WORK_CAP}")
+    units = (tuple(int(i == j) for j in range(k)) for i in range(k))
+    decode_ok = all(wiretap2_decode(code, wiretap2_encode(code, u[r:], u[:r])) == u[r:]
+                    for u in units)
+    gap = 0
+    for s in combinations(range(k), r):
+        scrambles = code.generator.column_submatrix(s) if r else Matrix(0, 0, q, ())
+        # E_S is a unit row per message position in S and zero elsewhere
+        tapped = [j for j in s if j >= r]
+        padding = tuple(int(i == j) for j in tapped for i in s)
+        stacked = Matrix(r + len(tapped), r, q, scrambles.entries + padding)
+        gap = max(gap, stacked.rank() - scrambles.rank())
+    return Wiretap2Report(k, r, q, decode_ok, subsets, gap * math.log2(q), gap == 0)
 
 
 # ---------------------------------------------------------------------------

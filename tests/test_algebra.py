@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -111,3 +112,25 @@ class TestMatrix:
     def test_mat_vec(self):
         g = Matrix.from_rows([[1, 0, 2], [0, 1, 3]], 5)
         assert g.mat_vec((2, 3)) == (2, 3, (4 + 9) % 5)
+
+
+class TestRank:
+    def test_matches_the_size_of_the_row_span(self):
+        # oracle: the rows span exactly p^rank vectors
+        rng = random.Random(20261018)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5, 7))
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            m = Matrix(rows, cols, p, tuple(rng.randrange(p) for _ in range(rows * cols)))
+            span = {m.mat_vec(v) for v in product(range(p), repeat=rows)}
+            assert p ** m.rank() == len(span), m
+
+    def test_square_rank_is_full_iff_the_determinant_is_nonzero(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            m = Matrix.from_rows([[rng.randrange(3) for _ in range(3)] for _ in range(3)], 3)
+            assert (m.rank() == 3) == (m.determinant() != 0)
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(ValueError, match="prime"):
+            Matrix.from_rows([[2, 0], [0, 3]], 6).rank()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -12,6 +13,8 @@ from wiretaplab import attack_engine
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.attack_engine import (
     AttackClass,
+    TABLE1_EXPECTED,
+    TABLE_COLUMNS,
     AttackStrategy,
     ScalarLinearSweepReport,
     SecurityLevel,
@@ -26,14 +29,17 @@ from wiretaplab.attack_engine import (
     table_mismatches,
 )
 from wiretaplab.attack_engine import (
+    _affine_relay_code,
     _columns,
     _passive_pair_levels,
+    _scalar_linear_row,
     _slice_terms,
     _tap_terms,
     _view_level,
 )
 from wiretaplab.errors import BudgetError
 from wiretaplab.info_theory import (
+    _independent,
     is_function_of,
     is_independent,
     mutual_information,
@@ -779,6 +785,53 @@ class TestScalarLinearSweep:
             exhaustive_scalar_linear_check(4)
 
 
+class TestScalarLinearD6:
+    """A found fact: at d = 6 the best affine relay behind the standard
+    encoder is imperfect, not insecure, in every column.  TABLE1_EXPECTED
+    keeps the paper's insecure scalar-linear row; it is not edited to match."""
+
+    def test_row_is_imperfect_in_every_column(self):
+        assert _scalar_linear_row(6) == dict.fromkeys(TABLE_COLUMNS, SecurityLevel.IMPERFECT)
+        assert TABLE1_EXPECTED["scalar-linear"] == (SecurityLevel.INSECURE,) * 3
+
+    def test_432_correct_affine_relays_survive_the_passive_tap(self):
+        # literal loop: the relay must let (Y3, Y4) decode M from (L, M + L),
+        # and no tap (Y_i, Y_j), i in 1, 2 and j in 3, 4, may pin M
+        d = 6
+        atoms = [(m, (l, (m + l) % d)) for m, l in product(range(d), repeat=2)]
+        messages = [m for m, _ in atoms]
+
+        def pins_m(seen):
+            return len(set(seen)) == len(set(zip(messages, seen)))
+
+        survivors = []
+        for p, q, s0, t, u, w0 in product(range(d), repeat=6):
+            rows = [(m, y12, ((p * y12[0] + q * y12[1] + s0) % d,
+                              (t * y12[0] + u * y12[1] + w0) % d)) for m, y12 in atoms]
+            if not pins_m([y34 for _, _, y34 in rows]):
+                continue
+            if not any(pins_m([(y12[i], y34[j]) for _, y12, y34 in rows])
+                       for i in (0, 1) for j in (0, 1)):
+                survivors.append((p, q, s0, t, u, w0))
+        assert len(survivors) == 432
+        assert survivors[0] == (2, 3, 0, 3, 2, 0)
+
+    def test_first_survivor_witnesses_recheck_by_simulation(self):
+        # Y3 = 2 Y1 + 3 Y2 and Y4 = 3 Y1 + 2 Y2 mod 6: tapping e(1) and e(4)
+        # shows 2M, that is M mod 3, and nothing pins M
+        code = _affine_relay_code(6, (2, 3, 0, 3, 2, 0))
+        for klass in (DP, DA, AA):
+            verdict = classify(code, klass)
+            assert verdict.level is SecurityLevel.IMPERFECT
+            dist = simulate_attack(code, verdict.witness)
+            names = view_names(dist)
+            assert not is_function_of(dist, "M", names)
+            assert not is_independent(dist, "M", names)
+            assert mutual_information(dist, "M", names) == pytest.approx(
+                verdict.max_leakage_bits, abs=1e-9)
+            assert verdict.max_leakage_bits == pytest.approx(math.log2(3), abs=1e-9)
+
+
 class TestLinearActiveReduction:
     @pytest.mark.parametrize("d", [2, 3])
     def test_scalar_linear_codes(self, d):
@@ -869,6 +922,77 @@ def extended_view_law(code, plan):
     return weights
 
 
+def literal_extended_secrecy(code):
+    """Oracle: the staged extended-mode check, one slice and constant at a time.
+
+    For each shot-1 edge i1: M must be independent of Y_i1; for each
+    shot-2 edge i2, of Y'_i2 within every slice Y_i1 = a; and of each of
+    Y3 and Y4 within every slice (a, a2) under every pair of substituted
+    constants.
+    """
+    d = code.d
+    atoms = [(key[0], code.first_layer_symbols(key[0], key[1:]))
+             for key in code.encoder_inputs()]
+    for i1 in (1, 2):
+        p1 = i1 - 1
+        if not _independent(Counter((m, first[p1]) for m, first in atoms),
+                            len(atoms), (0,), (1,)):
+            return False
+        for i2 in (1, 2):
+            p2 = 2 + i2 - 1
+            for a in range(d):
+                slice_a = [(m, first) for m, first in atoms if first[p1] == a]
+                if not slice_a:
+                    continue
+                if not _independent(Counter((m, first[p2]) for m, first in slice_a),
+                                    len(slice_a), (0,), (1,)):
+                    return False
+                for a2 in range(d):
+                    slice_a2 = [(m, first) for m, first in slice_a if first[p2] == a2]
+                    if not slice_a2:
+                        continue
+                    for x1, x2 in product(range(d), repeat=2):
+                        outs = []
+                        for m, first in slice_a2:
+                            relay_in = list(first)
+                            relay_in[p1] = x1
+                            relay_in[p2] = x2
+                            for lp in code.relay_random_values():
+                                outs.append((m, code.relay_output(tuple(relay_in), lp)))
+                        for col in (0, 1):
+                            if not _independent(Counter((m, y34[col]) for m, y34 in outs),
+                                                len(outs), (0,), (1,)):
+                                return False
+    return True
+
+
+def vector_linear_variant(rng, d, relay_randomness):
+    """The vector-linear code with every wire and M renamed, and half the
+    time one relay entry overwritten.
+
+    The relay adds its own symbol, if any, to Y3 (and so to Y4), which
+    keeps M = Y4 - Y3 decodable.
+    """
+    def perm():
+        return rng.sample(range(d), d)
+
+    f, g3, g4, message = [perm() for _ in range(4)], perm(), perm(), perm()
+    encoder = {(message[m], l1, l2, l3): ((f[0][l1], f[1][(m + l1) % d]),
+                                          (f[2][l2], f[3][(l3 + l2) % d]))
+               for m, l1, l2, l3 in product(range(d), repeat=4)}
+    relay = {}
+    for key in product(range(d), repeat=4 + relay_randomness):
+        y1, y2, y1p, y2p = (f[i].index(v) for i, v in enumerate(key[:4]))
+        y3 = (y2p - y1p + sum(key[4:])) % d
+        relay[key] = (g3[y3], g4[(y2 - y1 + y3) % d])
+    if rng.random() < 0.5:
+        relay[rng.choice(sorted(relay))] = (rng.randrange(d), rng.randrange(d))
+    decoder = {(g3[y3], g4[y4]): message[(y4 - y3) % d]
+               for y3, y4 in product(range(d), repeat=2)}
+    return OneHopCode(d, 2, 3, bool(relay_randomness), encoder, relay, decoder,
+                      name=f"vector-linear-variant-d{d}")
+
+
 class TestExtendedTwoShotMode:
     def test_vector_linear_d2_matches_literal_enumeration(self):
         # oracle: every one of the 8192 extended plans at d=2, evaluated
@@ -890,6 +1014,21 @@ class TestExtendedTwoShotMode:
 
     def test_vector_linear_d3(self):
         assert check_extended_two_shot_secrecy(vector_linear_code(3))
+
+    def test_matches_the_staged_oracle(self):
+        # random two-shot codes, which the extended mode breaks, and
+        # renamed vector-linear codes, some with one relay entry changed,
+        # at d = 2, 3 with and without relay randomness
+        rng = random.Random(2026)
+        codes = [random_code(rng, d, 2, 1 + i % 3, i % 2) for d in (2, 3) for i in range(20)]
+        codes += [vector_linear_variant(rng, d, i % 2) for d in (2, 3) for i in range(30)]
+        results = [check_extended_two_shot_secrecy(code) for code in codes]
+        assert results == [literal_extended_secrecy(code) for code in codes]
+        for d in (2, 3):
+            for relay_randomness in (False, True):
+                outcomes = {secure for code, secure in zip(codes, results)
+                            if (code.d, code.relay_randomness) == (d, relay_randomness)}
+                assert outcomes == {False, True}, (d, relay_randomness)
 
     def test_leaky_two_shot_code_fails(self):
         # drop the second-shot scramble: Y3 reveals nothing but Y4 = M + Y3'

@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,44 @@ class TestExampleCommands:
         assert code == 0
         data = json.loads(out)
         assert data["all_taps_zero"] and data["decode_ok"]
+
+    def test_wiretap2_q11_k6_r3_runs(self, capsys):
+        # 11^6 codewords, but only C(6, 3) = 20 rank pairs
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "wiretap2", "--q", "11", "--k", "6", "--r", "3")
+        assert code == 0
+        assert out == "(k=6, r=3) over F_11: decode ok, 20 tap subsets, leakage all zero\n"
+        assert time.perf_counter() - start < 1.0
+
+
+# every command of README's CLI block, in order, without the program name
+README_COMMANDS = [
+    "classify --family standard --d 2 --class adaptive",
+    "classify --table --d 2,3,4 --expect-table1",
+    "antilatin find --d 3",
+    "antilatin maxset --d 3 --mode decodable --method exact",
+    "mincut --net fig1.net",
+    """capacity --layered '{"c":2,"k":[2,2],"r":[1,1],"q":2}'""",
+    "mds build --k 4 --r 2 --q 7",
+    "wiretap2 --q 11 --k 6 --r 3",
+    "han --k 4 --r 2 --samples 10000",
+]
+
+
+def readme_cli_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+class TestReadmeCommands:
+    def test_block_lists_the_tested_commands(self):
+        assert readme_cli_block() == ["wiretaplab " + c for c in README_COMMANDS]
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_command_exits_0(self, capsys, command):
+        code, _, err = run(capsys, *shlex.split(command))
+        assert code == 0, err
 
 
 class TestTable:
@@ -152,10 +192,10 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5.0
 
     def test_wiretap2_budget_is_3(self, capsys):
-        # 11^6 codewords x C(6, 3) tap subsets: minutes of work, refused
-        # before the first codeword
+        # C(20, 10) tap subsets: about 40 s of eliminations, refused before
+        # the first one
         start = time.perf_counter()
-        code, out, err = run(capsys, "wiretap2", "--q", "11", "--k", "6", "--r", "3")
+        code, out, err = run(capsys, "wiretap2", "--q", "23", "--k", "20", "--r", "10")
         assert code == 3
         assert "budget" in err and "tap subsets" in err
         assert out == ""

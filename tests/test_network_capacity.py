@@ -1,16 +1,21 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiretaplab.algebra import Matrix
+from wiretaplab.errors import BudgetError
+from wiretaplab.info_theory import JointDistribution, mutual_information
 from wiretaplab.network_capacity import (
     LayeredUnicastNetwork,
     NodeInfo,
     WiretapIICode,
+    Wiretap2Report,
     WiretapNetwork,
     fig1_network,
     mincut1,
@@ -70,6 +75,24 @@ class TestNetworkParsing:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(random_dag_networks())
     def test_round_trip_random_dags(self, net):
+        assert WiretapNetwork.from_text(net.to_text()) == net
+
+    @pytest.mark.parametrize("bad", ["a b", "a#b", "", "#", "a\tb", "a\nb", 7])
+    def test_ids_the_text_form_cannot_carry_are_refused(self, bad):
+        with pytest.raises(ValueError, match="node id"):
+            WiretapNetwork(((bad, NodeInfo("source")), ("t", NodeInfo("terminal"))),
+                           ((bad, "t"),))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(" #\t\n\x1c\u2028ab") | st.characters(
+        blacklist_categories=("Cs",)), max_size=3), min_size=2, max_size=4, unique=True))
+    def test_every_id_round_trips_or_is_refused(self, ids):
+        roles = ["source", "terminal"] + ["intermediate"] * (len(ids) - 2)
+        nodes = tuple((n, NodeInfo(role)) for n, role in zip(ids, roles))
+        try:
+            net = WiretapNetwork(nodes, ((ids[0], ids[1]),))
+        except ValueError:
+            return
         assert WiretapNetwork.from_text(net.to_text()) == net
 
     def test_bad_lines_rejected(self):
@@ -224,6 +247,53 @@ class TestUnicastCapacities:
             LayeredUnicastNetwork.from_json_dict({"c": 3, "k": [2], "r": [1], "q": 2})
 
 
+def walked_report(code):
+    """Oracle: every message and scramble vector, literally, per tap subset.
+
+    Each subset's view counts must be the same for every message; if
+    some are not, the leakage is the largest I(M; X_S) of the exact
+    joint laws.
+    """
+    q, k, r = code.q, code.k, code.r
+    decode_ok = True
+    subsets = list(combinations(range(k), r))
+    counts = {s: {} for s in subsets}
+    messages = list(product(range(q), repeat=code.message_length))
+    for message in messages:
+        for scrambles in product(range(q), repeat=r):
+            word = wiretap2_encode(code, message, scrambles)
+            decode_ok &= wiretap2_decode(code, word) == message
+            for s in subsets:
+                slot = counts[s].setdefault(tuple(word[i] for i in s), {})
+                slot[message] = slot.get(message, 0) + 1
+    all_zero = all(len(per_message) == len(messages) and len(set(per_message.values())) == 1
+                   for views in counts.values() for per_message in views.values())
+    max_leak = 0.0
+    mvars = [(f"M{i}", q) for i in range(code.message_length)]
+    for s in subsets:
+        if all_zero or not s:
+            continue
+        weights = {message + view: w for view, per_message in counts[s].items()
+                   for message, w in per_message.items()}
+        vvars = [(f"X{i}", q) for i in range(len(s))]
+        dist = JointDistribution.from_weights(mvars + vvars, weights)
+        max_leak = max(max_leak, mutual_information(
+            dist, [n for n, _ in mvars], [n for n, _ in vvars]))
+    return Wiretap2Report(k, r, q, decode_ok, len(subsets), max_leak, all_zero)
+
+
+def random_generator_codes(rng, count):
+    """Seeded codes with uniformly random r x k generators over F_q, q^k <= 243."""
+    codes = []
+    while len(codes) < count:
+        q = rng.choice((2, 3, 5))
+        k = rng.randint(2, {2: 7, 3: 5, 5: 3}[q])
+        r = rng.randint(1, k - 1)
+        entries = tuple(rng.randrange(q) for _ in range(r * k))
+        codes.append(WiretapIICode(k, r, q, Matrix(r, k, q, entries)))
+    return codes
+
+
 class TestWiretapII:
     def test_q3_single_taps_leak_nothing(self):
         report = wiretap2_verify(WiretapIICode.build(3, 1, 3))
@@ -276,3 +346,74 @@ class TestWiretapII:
             WiretapIICode.build(4, 2, 4)
         with pytest.raises(ValueError):
             WiretapIICode.build(5, 1, 3)  # q < k
+
+    def test_rank_path_matches_the_walk_on_mds_codes(self):
+        cases = [(q, k, r) for q in (2, 3, 5, 7) for k in range(1, q + 1) for r in range(k)
+                 if q ** k * math.comb(k, r) <= 1 << 12]
+        assert len(cases) == 27
+        for q, k, r in cases:
+            code = WiretapIICode.build(k, r, q)
+            report = wiretap2_verify(code)
+            assert report.to_json_dict() == walked_report(code).to_json_dict(), (q, k, r)
+            assert report.all_taps_zero and report.decode_ok
+
+    def test_rank_path_matches_the_walk_on_random_generators(self):
+        outcomes = Counter()
+        for code in random_generator_codes(random.Random(20261018), 300):
+            got, want = wiretap2_verify(code), walked_report(code)
+            shape = (code.q, code.k, code.r, code.generator.entries)
+            assert (got.decode_ok, got.all_taps_zero, got.subsets_checked) == \
+                (want.decode_ok, want.all_taps_zero, want.subsets_checked), shape
+            assert got.max_leakage_bits == pytest.approx(want.max_leakage_bits, abs=1e-9)
+            outcomes[got.decode_ok, got.all_taps_zero] += 1
+        # every outcome occurs, and at least 200 codes leak or fail to decode
+        assert len(outcomes) == 4
+        assert 300 - outcomes[True, True] >= 200
+
+    def test_leakage_is_a_whole_number_of_symbols(self):
+        # tapping the one scramble and the one message symbol of a code
+        # whose generator never reaches the message position: a full symbol
+        code = WiretapIICode(2, 1, 5, Matrix(1, 2, 5, (1, 0)))
+        report = wiretap2_verify(code)
+        assert report.decode_ok and not report.all_taps_zero
+        assert report.max_leakage_bits == math.log2(5)
+
+    @pytest.mark.parametrize("k, r, q", [(20, 10, 23), (93, 90, 97), (5000, 0, 5003)])
+    def test_budget_is_checked_before_any_elimination(self, monkeypatch, k, r, q):
+        # too many tap subsets, too large ones, and too long a decode check
+        code = WiretapIICode.build(k, r, q)
+
+        def refuse(*args):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(Matrix, "rank", refuse)
+        monkeypatch.setattr(Matrix, "mat_vec", refuse)
+        with pytest.raises(BudgetError, match="tap subsets"):
+            wiretap2_verify(code)
+
+
+class TestWiretapIICodeValidation:
+    def test_r_outside_0_to_k(self):
+        with pytest.raises(ValueError, match="0 <= r < k"):
+            WiretapIICode(3, 3, 5, Matrix(3, 3, 5, (0,) * 9))
+        with pytest.raises(ValueError, match="0 <= r < k"):
+            WiretapIICode(3, -1, 5, None)
+
+    def test_composite_q(self):
+        # rank over Z_4 is undefined, so this code must not verify
+        with pytest.raises(ValueError, match="not prime"):
+            WiretapIICode(3, 1, 4, Matrix(1, 3, 4, (1, 1, 1)))
+
+    def test_generator_present_exactly_when_r_positive(self):
+        with pytest.raises(ValueError, match="exactly when r > 0"):
+            WiretapIICode(3, 1, 5, None)
+        with pytest.raises(ValueError, match="exactly when r > 0"):
+            WiretapIICode(3, 0, 5, Matrix(0, 3, 5, ()))
+
+    def test_generator_of_the_wrong_shape_or_modulus(self):
+        for generator in (Matrix(1, 3, 5, (1, 1, 1)),     # mod 5 in a q = 3 code
+                          Matrix(1, 2, 3, (1, 1)),         # too few columns
+                          Matrix(2, 3, 3, (1, 0, 1, 0, 1, 1)),  # too many rows
+                          ((1, 1, 1),)):                   # not a Matrix
+            with pytest.raises(ValueError, match="r x k"):
+                WiretapIICode(3, 1, 3, generator)
