@@ -144,15 +144,19 @@ def is_one_to_one_pair(a: AntiLatinSquare, b: AntiLatinSquare) -> bool:
 # catalog enumeration and canonical representatives
 
 def enumerate_anti_latin(d: int) -> list[AntiLatinSquare]:
-    """All d x d anti-Latin squares in lexicographic order (d <= 3)."""
+    """All d x d anti-Latin squares in lexicographic order (d <= 3).
+
+    Tables are built from rows that repeat a value, taken in
+    lexicographic order, so the tables come in lexicographic order too;
+    those whose columns all repeat a value are kept.
+    """
     if d > 3:
         raise BudgetError(f"full enumeration of {d}^{d * d} tables is out of reach")
-    out = []
-    for flat in product(range(d), repeat=d * d):
-        rows = [flat[i * d:(i + 1) * d] for i in range(d)]
-        if is_anti_latin(rows):
-            out.append(AntiLatinSquare.from_rows(rows))
-    return out
+    if d < 0:
+        return []  # d * d > 0 cells over the empty range(d): no table
+    repeating = [row for row in product(range(d), repeat=d) if len(set(row)) < d]
+    return [AntiLatinSquare.from_rows(rows) for rows in product(repeating, repeat=d)
+            if all(len(set(column)) < d for column in zip(*rows))]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ changes the relay input of atoms that observed v only through the value
 x it gives v, so the active slice (v, x) is the slice v under the
 constant map x: one pass over the atoms under the d constant maps (d^2
 per-shot pairs for two-shot codes) gives every slice, d*d slices
-instead of d^d full laws.  Single-shot codes pick each slice's
-substitute independently; a two-shot view (vA, vB) sees the map at both
-vA and vB, so two-shot active classes enumerate maps, each looking up
-the slice terms.
+instead of d^d full laws.  A single-shot view picks its own substitute;
+a two-shot view (vA, vB) sees the map at both vA and vB, so two-shot
+active classes walk the d^d maps, each looking its views' terms up by
+the substitute (mod[vA], mod[vB]).
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
 literally; they are the reference the optimiser is tested against.
@@ -42,9 +42,9 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from operator import getitem, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .anti_latin import find_decodable_pair, reference_decodable_pair
+from .anti_latin import DEFAULT_SEED, find_decodable_pair, reference_decodable_pair
 from .errors import BudgetError
 from .info_theory import JointDistribution, _entropy_of_weights, _project
 from .onehop_codes import (
@@ -154,17 +154,6 @@ class AttackStrategy:
         return out
 
 
-def _constant_selector(d: int, shots: int, edge: int) -> tuple[int, ...]:
-    return (edge,) * (d ** shots)
-
-
-def _modifications(d: int, active: bool) -> Iterator[tuple[int, ...]]:
-    if active:
-        yield from product(range(d), repeat=d)
-    else:
-        yield _identity(d)
-
-
 _ENUMERATION_CAP = 2_500_000
 # largest alphabet whose d^d substitution maps are enumerated one by one
 _ACTIVE_MAP_CAP_D = 6
@@ -188,25 +177,16 @@ def enumerate_attacks(d: int, klass: AttackClass,
         raise BudgetError(f"active modification space d^d is out of budget "
                           f"for d > {_ACTIVE_MAP_CAP_D}")
     views = d ** shots
-    mods = d ** d if klass.is_active else 1
-    selectors = 2 ** views if klass.is_adaptive else 2
-    total = 2 * mods * selectors
+    mods = list(product(range(d), repeat=d)) if klass.is_active else [_identity(d)]
+    total = 2 * len(mods) * (2 ** views if klass.is_adaptive else 2)
     if total > _ENUMERATION_CAP:
         raise BudgetError(
             f"{total} strategies exceed the enumeration budget; "
             "classification handles these spaces without materializing them")
-    out = []
-    for first_edge in (1, 2):
-        for mod in _modifications(d, klass.is_active):
-            if klass.is_adaptive:
-                for sel in product((3, 4), repeat=views):
-                    out.append(AttackStrategy(d, shots, klass, first_edge, mod, sel))
-            else:
-                for edge in (3, 4):
-                    out.append(AttackStrategy(
-                        d, shots, klass, first_edge, mod,
-                        _constant_selector(d, shots, edge)))
-    return out
+    selectors = (list(product((3, 4), repeat=views)) if klass.is_adaptive
+                 else [(3,) * views, (4,) * views])
+    return [AttackStrategy(d, shots, klass, first_edge, mod, selector)
+            for first_edge in (1, 2) for mod in mods for selector in selectors]
 
 
 # ---------------------------------------------------------------------------
@@ -452,99 +432,76 @@ def _passive_optimum(d: int, shots: int, klass: AttackClass,
 
 
 def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
-    """(M, tap, slices) with one (xs, Y3, Y4, views) per per-shot substitute xs.
+    """(M, tap, slices) with one (xs, Y3, Y4) per per-shot substitute xs.
 
     The relay reads xs[i] on first_edge in shot i, so over the atoms with
-    view v, Y3 and Y4 are those of the slice (v, xs).  views maps each
-    coded view some map gives xs to the view (a map sends equal symbols
-    to equal values).  Substitute number v is the coded view v itself.
+    view v, Y3 and Y4 are those of the slice (v, xs).  Substitutes run in
+    lexicographic order, so substitute number v is the coded view v itself.
     """
     d, pos = code.d, first_edge - 1
     subs = list(product(range(d), repeat=code.shots))
     columns = _columns(code, [_placed(code, {2 * i + pos: (x,) * d for i, x in enumerate(xs)})
                               for xs in subs])
-    return columns[0], columns[first_edge], [
-        (xs, y3, y4, {v: view for v, view in enumerate(subs)
-                      if view[0] != view[-1] or xs[0] == xs[-1]})
-        for xs, y3, y4 in zip(subs, columns[3::2], columns[4::2])]
+    return columns[0], columns[first_edge], list(zip(subs, columns[3::2], columns[4::2]))
 
 
-def _slice_terms(code: OneHopCode, first_edge: int) -> dict:
-    """Objectives with W = Y3 and W = Y4 of every slice (view, xs) some map reaches."""
-    messages, tap, slices = _slice_columns(code, first_edge)
-    objectives = {}
-    for xs, y3, y4, views in slices:
-        terms4 = _tap_terms(messages, tap, y4)[0]
-        for (v, obj3, _, _), (_, obj4, _, _) in zip(_tap_terms(messages, tap, y3)[0], terms4):
-            if v in views:
-                objectives[views[v], xs] = obj3, obj4
-    return objectives
+def _tap_optimum(code: OneHopCode, klass: AttackClass, first_edge: int) -> tuple:
+    """(objective, mod, selector) of an active class's first optimum on one tap edge.
 
-
-def _tap_candidates(code: OneHopCode, klass: AttackClass,
-                    objectives: dict) -> Iterator[tuple]:
-    """Candidate strategies of one tap edge of an active class, in canonical order.
-
-    objectives maps each slice (view, substituted) to its objectives
-    with W = Y3 and W = Y4.  Yields (objective, mod, edges, edge_of),
-    where edges is the set of second-layer edges the selector may use
-    and edge_of maps each slice to its least objective over edges and
-    the first edge attaining it.  One candidate is yielded per edge set
-    (single-shot) or per map and edge set (two-shot), each the
-    canonically first optimum of its group, so the first least objective
-    yielded belongs to the tap edge's canonical witness.
+    The term of view v under substitute number n is read off the column
+    terms of (tap, Y3) and (tap, Y4) of slice n.  Each edge set the
+    selector may use gets its own first optimum: a single-shot view takes
+    its least substitute, the smallest on ties; a map gives both shots of
+    a two-shot view their values, so two-shot codes walk the maps in
+    order.  A deterministic tie between the edges goes to (mod, edge)
+    order.  A view no atom reaches keeps substitute 0 and the first edge.
     """
-    d = code.d
-    substitutes: dict[tuple, list] = {}
-    for view, xs in sorted(objectives):
-        substitutes.setdefault(view, []).append(xs)
-    edge_sets = ((3, 4),) if klass.is_adaptive else ((3,), (4,))
-    tables = [(edges, {key: _edge_choice(obj, edges) for key, obj in objectives.items()})
-              for edges in edge_sets]
-    if code.shots == 1:
-        # each view picks its own substitute: least objective first, then
-        # the smallest substitute
-        group = []
-        for edges, edge_of in tables:
-            mod = [0] * d
-            num = den = 1
-            for view, options in substitutes.items():
-                obj, (x,) = _first_min((edge_of[view, xs][0], xs) for xs in options)
-                mod[view[0]] = x
+    d, shots = code.d, code.shots
+    messages, tap, slices = _slice_columns(code, first_edge)
+    terms = []
+    for _, y3, y4 in slices:
+        views3 = _tap_terms(messages, tap, y3)[0]
+        terms.append([(t3[1], t4[1]) for t3, t4 in zip(views3, _tap_terms(messages, tap, y4)[0])])
+    observed = [v for v, *_ in views3]
+    cands = []
+    for edges in ((3, 4),) if klass.is_adaptive else ((3,), (4,)):
+        # least[i][n]: the least term over edges of observed view i under
+        # substitute n, and the first edge attaining it
+        least = [[_edge_choice(row[i], edges) for row in terms] for i in range(len(observed))]
+        if shots == 1:
+            mod, num, den = [0] * d, 1, 1
+            for terms_v, v in zip(least, observed):
+                obj, mod[v] = _first_min((t[0], x) for x, t in enumerate(terms_v))
                 num *= obj[0]
                 den *= obj[1]
-            group.append(((num, den), tuple(mod), edges, edge_of))
-        # a deterministic tie between the two edges goes to (mod, edge) order
-        group.sort(key=lambda cand: cand[1:3])
-        yield from group
-        return
-    # one map serves both shots, so two-shot slices are coupled: walk the
-    # maps in order and look each slice term up
-    for mod in _modifications(d, True):
-        keys = [(view, tuple(mod[v] for v in view)) for view in substitutes]
-        for edges, edge_of in tables:
-            num = den = 1
-            for key in keys:
-                obj = edge_of[key][0]
-                num *= obj[0]
-                den *= obj[1]
-            yield (num, den), mod, edges, edge_of
+            objective, mod = (num, den), tuple(mod)
+        else:
+            objective = None
+            views = [([t[0] for t in terms_v], v // d, v % d)
+                     for terms_v, v in zip(least, observed)]
+            for m in product(range(d), repeat=d):
+                num = den = 1
+                for terms_v, a, b in views:
+                    obj = terms_v[m[a] * d + m[b]]
+                    num *= obj[0]
+                    den *= obj[1]
+                if objective is None or _less((num, den), objective):
+                    objective, mod = (num, den), m
+        selector = [edges[0]] * d ** shots
+        for terms_v, v in zip(least, observed):
+            selector[v] = terms_v[mod[v] if shots == 1 else mod[v // d] * d + mod[v % d]][1]
+        cands.append((objective, mod, tuple(selector)))
+    return _first_min(sorted(cands, key=itemgetter(1, 2)))
 
 
 def _active_optimum(code: OneHopCode, klass: AttackClass) -> tuple:
     """(objective, first_edge, modification, selector) of an active class's first optimum."""
     best = None
     for first_edge in (1, 2):
-        cand = _first_min(_tap_candidates(code, klass, _slice_terms(code, first_edge)))
-        if best is None or _less(cand[0], best[0]):
-            best = cand + (first_edge,)
-    objective, mod, edges, edge_of, first_edge = best
-    selector = []
-    for view in product(range(code.d), repeat=code.shots):
-        key = (view, tuple(mod[v] for v in view))
-        # a view no atom reaches has no slice and keeps the first edge
-        selector.append(edge_of[key][1] if key in edge_of else edges[0])
-    return objective, first_edge, mod, selector
+        objective, mod, selector = _tap_optimum(code, klass, first_edge)
+        if best is None or _less(objective, best[0]):
+            best = objective, first_edge, mod, selector
+    return best
 
 
 def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
@@ -704,6 +661,24 @@ def _code_row(code: OneHopCode) -> dict[str, SecurityLevel]:
     return {c: classify(code, _COLUMN_CLASS[c]).level for c in TABLE_COLUMNS}
 
 
+def anti_latin_pair(d: int, seed: int = DEFAULT_SEED) -> tuple:
+    """The decodable pair of anti-Latin squares the family code over Z_d uses.
+
+    The stored reference pair for d = 3, 4, else the pair
+    find_decodable_pair finds from seed.  ValueError when no pair exists
+    (proven at d = 2), BudgetError when the search ends without one.
+    """
+    if d in (3, 4):
+        return reference_decodable_pair(d)
+    result = find_decodable_pair(d, seed=seed)
+    if result.proven_empty:
+        raise ValueError(f"no decodable anti-Latin pair exists for d={d} "
+                         f"(exhaustive over {result.examined} candidate pairs)")
+    if not result.found:
+        raise BudgetError(f"no decodable anti-Latin pair found for d={d}")
+    return result.pair
+
+
 def classification_table(d_list: Sequence[int]) -> ClassificationTable:
     """Security level grid for the one-hop code families, per alphabet size.
 
@@ -728,14 +703,7 @@ def classification_table(d_list: Sequence[int]) -> ClassificationTable:
             rows.append(TableRow("standard-nonlinear", d,
                                  _code_row(standard_nonlinear_code(2))))
         if d > 2:
-            if d in (3, 4):
-                pair = reference_decodable_pair(d)
-            else:
-                result = find_decodable_pair(d)
-                if not result.found:
-                    raise BudgetError(f"no decodable pair found for d={d}")
-                pair = result.pair
-            rows.append(TableRow("anti-latin", d, _code_row(anti_latin_code(*pair))))
+            rows.append(TableRow("anti-latin", d, _code_row(anti_latin_code(*anti_latin_pair(d)))))
         rows.append(TableRow("vector-linear", d, _code_row(vector_linear_code(d))))
     return ClassificationTable(tuple(rows))
 
@@ -977,8 +945,12 @@ def linear_active_reduction_check(code: OneHopCode) -> bool:
             # (view, M, W) counts per substitute; substitute number v is the
             # view v itself, so its slice v is the passive one
             counts = [Counter(zip(tap, messages, s[col])) for s in slices]
-            for (_, _, _, views), active in zip(slices, counts):
-                for v in views.keys() & set(tap):
+            for (xs, _, _), active in zip(slices, counts):
+                for v in set(tap):
+                    view = slices[v][0]
+                    # a map gives a symbol seen twice one value
+                    if view[0] == view[-1] and xs[0] != xs[-1]:
+                        continue
                     if not any(all(counts[v][v, m, (w - delta) % d] == c
                                    for (u, m, w), c in active.items() if u == v)
                                for delta in range(d)):

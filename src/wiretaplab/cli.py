@@ -90,15 +90,7 @@ def _build_family_code(family: str, d: int, seed: int):
     if family == "vector-linear":
         return vector_linear_code(d)
     if family == "anti-latin":
-        if d in (3, 4):
-            return anti_latin_code(*al.reference_decodable_pair(d))
-        result = al.find_decodable_pair(d, seed=seed)
-        if result.proven_empty:
-            raise ValueError(f"no decodable anti-Latin pair exists for d={d} "
-                             f"(exhaustive over {result.examined} candidate pairs)")
-        if not result.found:
-            raise BudgetError(f"no decodable anti-Latin pair found for d={d}")
-        return anti_latin_code(*result.pair)
+        return anti_latin_code(*ae.anti_latin_pair(d, seed))
     raise ValueError(f"unknown code family {family!r}")
 
 

@@ -320,9 +320,9 @@ class HanCheckResult(NamedTuple):
 # subtracts h (H_Y - H_X), so its error is at most
 # u L ((2c + 2h)(M + 10) + 4(c + h) + c^2), below u times the envelope.
 # Every `han` sample lies inside it: _RANDOM_CELL_CAP = 2^16 gives
-# k <= 15, M <= 2^(k+1) and total <= 32 M, so total.bit_length() <= 22
-# and h <= c <= C(15, 7) < 2^13, and _HAN_CELL_CAP = 2^26 gives
-# c 2^(k+1) <= 2^26, so the envelope is at most
+# k <= 15 and M <= 2^(k+1), _RANDOM_MAX_WEIGHT = 32 gives total <= 32 M,
+# so total.bit_length() <= 22 and h <= c <= C(15, 7) < 2^13, and
+# _HAN_CELL_CAP = 2^26 gives c 2^(k+1) <= 2^26, so the envelope is at most
 # 22 (4 * 2^26 + 48 * 2^13 + 2^26) < 2^33.  In practice only exact ties
 # reach the exact test.
 _HAN_FILTER = 2.0 ** -16
@@ -532,12 +532,14 @@ def check_han_subsets(dist: JointDistribution,
 
 # every cell of a random distribution is drawn, so its size is the budget
 _RANDOM_CELL_CAP = 1 << 16
+# a drawn cell is zero with probability _RANDOM_ZERO_SHARE, else its weight
+# is uniform on 1.._RANDOM_MAX_WEIGHT
+_RANDOM_MAX_WEIGHT = 32
+_RANDOM_ZERO_SHARE = 0.25
 
 
 def random_rational_distribution(rng,
-                                 variables: Sequence[tuple[str, int]],
-                                 max_weight: int = 32,
-                                 zero_share: float = 0.25) -> JointDistribution:
+                                 variables: Sequence[tuple[str, int]]) -> JointDistribution:
     """Seeded random distribution with exact rational probabilities.
 
     Raises BudgetError, before drawing anything, when the variables span
@@ -550,9 +552,9 @@ def random_rational_distribution(rng,
     keys = list(product(*(range(size) for _, size in variables)))
     weights = {}
     for key in keys:
-        if rng.random() < zero_share:
+        if rng.random() < _RANDOM_ZERO_SHARE:
             continue
-        weights[key] = rng.randint(1, max_weight)
+        weights[key] = rng.randint(1, _RANDOM_MAX_WEIGHT)
     if not weights:
         weights[keys[rng.randrange(len(keys))]] = 1
     return JointDistribution.from_weights(variables, weights)

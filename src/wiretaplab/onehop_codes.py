@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
 
@@ -23,6 +24,23 @@ from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
 EncoderTable = dict[tuple[int, ...], tuple[tuple[int, int], ...]]
 RelayTable = dict[tuple[int, ...], tuple[int, int]]
 DecoderTable = dict[tuple[int, int], int]
+
+
+# Every code of a sweep checks its tables against the same few key sets.
+@lru_cache(maxsize=16)
+def _words(d: int, length: int) -> frozenset:
+    """Every word of the given length over Z_d: the keys of a total table."""
+    return frozenset(product(range(d), repeat=length))
+
+
+def _all_pairs(d: int, outputs: Collection) -> bool:
+    """True iff every output is a pair over Z_d, tuple pairs by set lookup."""
+    try:
+        if _words(d, 2).issuperset(outputs):
+            return True
+    except TypeError:
+        pass  # an output is a list
+    return all(len(out) == 2 and all(0 <= v < d for v in out) for out in outputs)
 
 
 @dataclass(frozen=True)
@@ -54,24 +72,19 @@ class OneHopCode:
         if self.shots not in (1, 2):
             raise ValueError("shots must be 1 or 2")
         d = self.d
-        enc_keys = set(product(range(d), repeat=1 + self.scramble_count))
-        if set(self.encoder) != enc_keys:
+        if set(self.encoder) != _words(d, 1 + self.scramble_count):
             raise ValueError("encoder table is not total over (M, scrambles)")
         for out in self.encoder.values():
             if len(out) != self.shots:
                 raise ValueError("encoder output must have one pair per shot")
-            for pair in out:
-                if len(pair) != 2 or not all(0 <= v < d for v in pair):
-                    raise ValueError("encoder outputs must be pairs over Z_d")
+            if not _all_pairs(d, out):
+                raise ValueError("encoder outputs must be pairs over Z_d")
         relay_arity = 2 * self.shots + (1 if self.relay_randomness else 0)
-        relay_keys = set(product(range(d), repeat=relay_arity))
-        if set(self.relay) != relay_keys:
+        if set(self.relay) != _words(d, relay_arity):
             raise ValueError("relay table is not total over its inputs")
-        for out in self.relay.values():
-            if len(out) != 2 or not all(0 <= v < d for v in out):
-                raise ValueError("relay outputs must be pairs over Z_d")
-        dec_keys = set(product(range(d), repeat=2))
-        if set(self.decoder) != dec_keys:
+        if not _all_pairs(d, self.relay.values()):
+            raise ValueError("relay outputs must be pairs over Z_d")
+        if set(self.decoder) != _words(d, 2):
             raise ValueError("decoder table is not total over (Y3, Y4)")
         if not all(0 <= v < d for v in self.decoder.values()):
             raise ValueError("decoder outputs must lie in Z_d")

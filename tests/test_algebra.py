@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from wiretaplab.errors import BudgetError
 from wiretaplab.algebra import (
     Matrix,
     build_mds_generator,
@@ -11,10 +12,66 @@ from wiretaplab.algebra import (
 )
 
 
+def trial_division(n):
+    """Oracle: n is prime iff no f with f * f <= n divides it."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round, written out: with n - 1 = t 2^s and t odd,
+    a^t = 1 or a^(t 2^i) = -1 mod n for some i < s."""
+    t, s = n - 1, 0
+    while t % 2 == 0:
+        t, s = t // 2, s + 1
+    powers = [pow(a, t * 2 ** i, n) for i in range(s)]
+    return powers[0] == 1 or n - 1 in powers
+
+
 class TestPrimeField:
     def test_is_prime(self):
         primes = [n for n in range(2, 40) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+    def test_matches_trial_division(self):
+        assert all(is_prime(n) == trial_division(n) for n in range(-3, 30000))
+        rng = random.Random(3)
+        for n in rng.sample(range(10 ** 9, 10 ** 10), 200):
+            assert is_prime(n) == trial_division(n), n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the prime bases up to 7, 13, 31
+        # and 37; the last passes every base up to 37, so base 41 is needed
+        for n, factor in ((3215031751, 151), (3474749660383, 1303),
+                          (3825123056546413051, 149491),
+                          (318665857834031151167461, 399165290221)):
+            assert n % factor == 0
+            assert not is_prime(n)
+        assert all(strong_probable_prime(318665857834031151167461, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+    def test_large_numbers(self):
+        for n in (2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9):
+            assert is_prime(n), n
+        for n in (10 ** 18 + 1, 1000000007 * 998244353, (2 ** 61 - 1) * 1000003):
+            assert not is_prime(n), n
+
+    def test_beyond_the_exact_bound_is_refused(self):
+        # the bound passes all thirteen bases, so the test cannot decide it
+        bound = 3317044064679887385961981
+        assert bound == 1287836182261 * 2575672364521
+        assert all(strong_probable_prime(bound, a)
+                   for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+        assert not is_prime(bound - 1)
+        for n in (bound, bound + 2, 2 ** 89 - 1):
+            with pytest.raises(BudgetError):
+                is_prime(n)
 
 
 def det2(m: Matrix, i: int, j: int) -> int:

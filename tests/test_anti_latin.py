@@ -236,6 +236,24 @@ class TestEnumeration:
     def test_d3_catalog_size_frozen(self):
         assert len(enumerate_anti_latin(3)) == 4413
 
+    @pytest.mark.parametrize("d", [-2, -1, 0, 1, 2, 3])
+    def test_catalog_is_the_filtered_walk_over_every_table(self, d, d3_catalog):
+        # oracle: every d^(d*d) table in lexicographic order, kept when
+        # is_anti_latin holds; the same squares in the same order, and the
+        # same error for the empty d = 0 table
+        def walk():
+            return [tuple(flat[i * d:(i + 1) * d] for i in range(d))
+                    for flat in product(range(d), repeat=d * d)
+                    if is_anti_latin([flat[i * d:(i + 1) * d] for i in range(d)])]
+
+        if d == 0:
+            for enumerate_squares in (walk, lambda: enumerate_anti_latin(0)):
+                with pytest.raises(ValueError, match="empty table"):
+                    enumerate_squares()
+            return
+        catalog = d3_catalog if d == 3 else enumerate_anti_latin(d)
+        assert [sq.rows for sq in catalog] == walk()
+
     def test_d4_rejected(self):
         with pytest.raises(BudgetError):
             enumerate_anti_latin(4)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretaplab import attack_engine
-from wiretaplab.anti_latin import reference_decodable_pair
+from wiretaplab.anti_latin import find_decodable_pair, reference_decodable_pair
 from wiretaplab.attack_engine import (
     AttackClass,
     TABLE1_EXPECTED,
@@ -18,6 +18,7 @@ from wiretaplab.attack_engine import (
     AttackStrategy,
     ScalarLinearSweepReport,
     SecurityLevel,
+    anti_latin_pair,
     check_extended_two_shot_secrecy,
     classification_table,
     classify,
@@ -33,7 +34,7 @@ from wiretaplab.attack_engine import (
     _columns,
     _passive_pair_levels,
     _scalar_linear_row,
-    _slice_terms,
+    _slice_columns,
     _tap_terms,
     _view_level,
 )
@@ -222,10 +223,25 @@ def slice_codes():
     return codes
 
 
+def slice_terms(code, first_edge):
+    """Objectives with W = Y3 and W = Y4 of every slice (view, xs) some map
+    reaches, read off the column form classify optimises over."""
+    messages, tap, slices = _slice_columns(code, first_edge)
+    objectives = {}
+    for xs, y3, y4 in slices:
+        terms4 = _tap_terms(messages, tap, y4)[0]
+        for (v, obj3, _, _), (_, obj4, _, _) in zip(_tap_terms(messages, tap, y3)[0], terms4):
+            view = slices[v][0]
+            # a map gives a symbol seen twice one value
+            if view[0] != view[-1] or xs[0] == xs[-1]:
+                objectives[view, xs] = obj3, obj4
+    return objectives
+
+
 def assert_slice_terms_match_the_oracle(code):
     for first_edge in (1, 2):
         want = {key: slice_objectives(w) for key, w in slice_laws(code, first_edge)}
-        assert _slice_terms(code, first_edge) == want, (code.name, first_edge)
+        assert slice_terms(code, first_edge) == want, (code.name, first_edge)
 
 
 class TestEnumerateAttacks:
@@ -397,7 +413,7 @@ class TestClassify:
         # saw one symbol twice has d slices and any other view has d^2; the
         # column form holds exactly those slices, with the oracle's terms
         d = 3
-        keys = list(_slice_terms(vector_linear_code(d), 1))
+        keys = list(slice_terms(vector_linear_code(d), 1))
         assert len(keys) == len(set(keys))
         assert sorted(keys) == sorted(
             (view, xs) for view in product(range(d), repeat=2)
@@ -540,10 +556,23 @@ def verdicts_sha256(codes, classes):
         for code in codes for klass in classes).encode()).hexdigest()
 
 
+def active_codes_beyond_d2():
+    """Seeded two-shot codes at d = 2, 3, 4 (renamed vector-linear codes, half
+    with one relay entry changed, and random codes), vector_linear_code(5) and
+    seeded single-shot codes at d = 3, 4, 5, with and without relay randomness."""
+    rng = random.Random(1111)
+    codes = [vector_linear_variant(rng, d, i % 2) for d in (2, 3, 4) for i in range(4)]
+    codes += [random_code(rng, d, 2, 1 + i % 3, i % 2) for d in (2, 3) for i in range(6)]
+    codes.append(vector_linear_code(5))
+    codes += [random_code(rng, d, 1, 1, i % 2) for d in (3, 4, 5) for i in range(6)]
+    return codes
+
+
 class TestPinnedVerdicts:
     # sha256 of the verdict JSON lines, one per (code, class), code by code
     PASSIVE_SHA256 = "12659e3f55ad5d2e0694ccd1c636669c04135f199c36933ed64447e7d6943586"
     ACTIVE_SHA256 = "8573a562172e5877019ba0c832073888fc2d73ae6f20d75115961b737f5d9d2b"
+    BEYOND_D2_ACTIVE_SHA256 = "0d2f8bfcb5b52f709d34f5d1bc725bf81d7d2cb8eea07b92a97c965c0de53d6c"
 
     def test_every_d2_code_under_passive_classes(self, d2_codes):
         assert verdicts_sha256(d2_codes, (DP, AP)) == self.PASSIVE_SHA256
@@ -551,6 +580,12 @@ class TestPinnedVerdicts:
     def test_sampled_d2_codes_under_active_classes(self, d2_codes):
         # pins the leakage of active witnesses, read off their own columns
         assert verdicts_sha256(d2_codes[::16], (DA, AA)) == self.ACTIVE_SHA256
+
+    def test_seeded_codes_beyond_d2_under_active_classes(self):
+        # two-shot witnesses come from the map walk, single-shot ones from
+        # each view's own substitute; all three levels occur
+        codes = active_codes_beyond_d2()
+        assert verdicts_sha256(codes, (DA, AA)) == self.BEYOND_D2_ACTIVE_SHA256
 
 
 class TestMonotonicity:
@@ -668,6 +703,31 @@ class TestClassificationTable:
         assert csv.splitlines()[0] == "family,d,deterministic-passive,active,adaptive"
         data = table_23.to_json_dict()
         assert data["columns"] == ["deterministic-passive", "active", "adaptive"]
+
+
+class TestAntiLatinPair:
+    # the grid and `classify --family anti-latin` build their code on this pair
+
+    def test_stored_pairs_for_d3_and_d4(self):
+        for d in (3, 4):
+            assert anti_latin_pair(d) == reference_decodable_pair(d)
+
+    def test_search_beyond_d4(self):
+        pair = anti_latin_pair(5)
+        assert pair == find_decodable_pair(5).pair
+        assert anti_latin_pair(5, seed=7) == find_decodable_pair(5, seed=7).pair
+
+    def test_none_exists_at_d2(self):
+        with pytest.raises(ValueError, match="no decodable anti-Latin pair exists for d=2"):
+            anti_latin_pair(2)
+
+    def test_search_without_result_is_a_budget_error(self, monkeypatch):
+        monkeypatch.setattr(attack_engine, "find_decodable_pair",
+                            lambda d, seed: find_decodable_pair(d, seed, budget=5))
+        with pytest.raises(BudgetError, match="no decodable anti-Latin pair found for d=5"):
+            anti_latin_pair(5)
+        with pytest.raises(BudgetError, match="d=5"):
+            classification_table([5])
 
 
 def literal_pair_levels(d, encoders, relays):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wiretaplab import algebra
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.cli import main
 
@@ -59,6 +60,25 @@ class TestExampleCommands:
         assert code == 0
         data = json.loads(out)
         assert data["all_taps_zero"] and data["decode_ok"]
+
+    def test_18_digit_prime_modulus_runs(self, capsys, tmp_path):
+        # q is decided prime by Miller-Rabin, not by 5 * 10^8 trial divisions
+        q = "1000000000000000003"
+        path = tmp_path / "g.mat"
+        for argv, want in ((("mds", "build", "--k", "4", "--r", "2", "--q", q, "--out",
+                             str(path)), None),
+                           (("mds", "verify", "--file", str(path)), "MDS\n"),
+                           (("wiretap2", "--q", q, "--k", "4", "--r", "2"),
+                            f"(k=4, r=2) over F_{q}: decode ok, 6 tap subsets, "
+                            "leakage all zero\n")):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            if want is None:
+                assert out.splitlines()[0] == f"2 4 {q}"
+            else:
+                assert out == want
+            assert time.perf_counter() - start < 1.0
 
     def test_wiretap2_q11_k6_r3_runs(self, capsys):
         # 11^6 codewords, but only C(6, 3) = 20 rank pairs
@@ -200,6 +220,37 @@ class TestExitCodes:
         assert "budget" in err and "tap subsets" in err
         assert out == ""
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("command", [("mds", "build"), ("wiretap2",)])
+    def test_generator_budget_is_3(self, capsys, monkeypatch, command):
+        # a 10000 x 20000 generator: 2 * 10^8 entries, about two minutes and
+        # many GB, refused before the first Cauchy entry is inverted
+        def no_inverse(base, exp, mod):
+            if exp == -1:
+                raise AssertionError("a generator entry was built")
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(algebra, "pow", no_inverse, raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--k", "20000", "--r", "10000",
+                             "--q", "20011")
+        assert code == 3
+        assert "budget" in err and "entries" in err
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
+    def test_modulus_beyond_the_exact_primality_test_is_3(self, capsys, tmp_path):
+        bound = "3317044064679887385961981"
+        path = tmp_path / "huge.mat"
+        path.write_text(f"1 2 {bound}\n1 1\n")
+        for argv in (("mds", "build", "--q", bound), ("wiretap2", "--q", bound),
+                     ("mds", "verify", "--file", str(path))):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert "budget" in err and "primality" in err
+            assert out == ""
+            assert time.perf_counter() - start < 1.0
 
     def test_mds_verify_budget_is_3(self, capsys, tmp_path):
         # C(24, 12) column selections, refused before the first determinant

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import re
 from itertools import product
 
 import pytest
@@ -263,3 +265,144 @@ class TestSerialization:
         del bad_relay[(0, 0)]
         with pytest.raises(ValueError):
             OneHopCode(2, 1, 1, False, code.encoder, bad_relay, code.decoder)
+
+
+def code_args(code, **changes):
+    """Constructor arguments of a code, with copied tables and the given changes."""
+    args = {"d": code.d, "shots": code.shots, "scramble_count": code.scramble_count,
+            "relay_randomness": code.relay_randomness, "encoder": dict(code.encoder),
+            "relay": dict(code.relay), "decoder": dict(code.decoder)}
+    args.update(changes)
+    return args
+
+
+def literal_validation(args):
+    """Oracle: the table checks written out one entry at a time; the first
+    failure's message, or None."""
+    d, shots = args["d"], args["shots"]
+    if d < 2:
+        return "d must be >= 2"
+    if shots not in (1, 2):
+        return "shots must be 1 or 2"
+    if set(args["encoder"]) != set(product(range(d), repeat=1 + args["scramble_count"])):
+        return "encoder table is not total over (M, scrambles)"
+    for out in args["encoder"].values():
+        if len(out) != shots:
+            return "encoder output must have one pair per shot"
+        for pair in out:
+            if len(pair) != 2 or not all(0 <= v < d for v in pair):
+                return "encoder outputs must be pairs over Z_d"
+    arity = 2 * shots + (1 if args["relay_randomness"] else 0)
+    if set(args["relay"]) != set(product(range(d), repeat=arity)):
+        return "relay table is not total over its inputs"
+    for out in args["relay"].values():
+        if len(out) != 2 or not all(0 <= v < d for v in out):
+            return "relay outputs must be pairs over Z_d"
+    if set(args["decoder"]) != set(product(range(d), repeat=2)):
+        return "decoder table is not total over (Y3, Y4)"
+    if not all(0 <= v < d for v in args["decoder"].values()):
+        return "decoder outputs must lie in Z_d"
+    return None
+
+
+def validation_message(args):
+    try:
+        OneHopCode(**args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with(table, key, value):
+    table = dict(table)
+    table[key] = value
+    return table
+
+
+def _without(table, key):
+    table = dict(table)
+    del table[key]
+    return table
+
+
+STANDARD = standard_nonlinear_code(2)
+
+REJECTED = {
+    "d must be >= 2": code_args(STANDARD, d=1),
+    "shots must be 1 or 2": code_args(STANDARD, shots=3),
+    "encoder table is not total over (M, scrambles)":
+        code_args(STANDARD, encoder=_without(STANDARD.encoder, (0, 0))),
+    "encoder output must have one pair per shot":
+        code_args(STANDARD, encoder=_with(STANDARD.encoder, (0, 0), ((0, 0), (0, 0)))),
+    "encoder outputs must be pairs over Z_d":
+        code_args(STANDARD, encoder=_with(STANDARD.encoder, (0, 0), ((0, 2),))),
+    "relay table is not total over its inputs":
+        code_args(STANDARD, relay=_with(STANDARD.relay, (0, 0, 0), (0, 0))),
+    "relay outputs must be pairs over Z_d":
+        code_args(STANDARD, relay=_with(STANDARD.relay, (0, 0), (0, 0, 0))),
+    "decoder table is not total over (Y3, Y4)":
+        code_args(STANDARD, decoder=_without(STANDARD.decoder, (1, 1))),
+    "decoder outputs must lie in Z_d":
+        code_args(STANDARD, decoder=_with(STANDARD.decoder, (1, 1), -1)),
+}
+
+
+def mutations(rng, code):
+    """Constructor arguments of code with one or two entries broken or
+    re-typed: missing and extra keys, odd symbols (out of range, float,
+    bool), pairs given as lists, short pairs, and extra pairs or symbols."""
+    d = code.d
+    odd_symbols = [d, -1, 0.5, 1.0, True, d - 1]
+    args = code_args(code)
+    for _ in range(rng.randint(1, 2)):
+        name = rng.choice(("encoder", "relay", "decoder"))
+        table = args[name]
+        key = rng.choice(sorted(table))
+        kind = rng.randrange(6)
+        if kind == 0:
+            del table[key]
+        elif kind == 1:
+            table[key + (0,)] = table[key]
+        elif name == "decoder":
+            table[key] = rng.choice(odd_symbols)
+        else:
+            # an encoder output holds one pair per shot, a relay output is one pair
+            pairs = [list(pair) for pair in (table[key] if name == "encoder" else [table[key]])]
+            if kind == 2:
+                pairs[0][rng.randrange(2)] = rng.choice(odd_symbols)
+            elif kind == 4:
+                pairs[0].pop()
+            elif kind == 5 and name == "encoder":
+                pairs.append([0, 0])
+            elif kind == 5:
+                pairs[0].append(0)
+            if kind != 3:
+                pairs = [tuple(pair) for pair in pairs]
+            table[key] = tuple(pairs) if name == "encoder" else pairs[0]
+    return args
+
+
+class TestValidation:
+    @pytest.mark.parametrize("message", sorted(REJECTED))
+    def test_each_check_rejects_its_table(self, message):
+        assert literal_validation(REJECTED[message]) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OneHopCode(**REJECTED[message])
+
+    def test_list_pairs_are_accepted(self):
+        # a direct caller may pass pairs as lists, as the checks always allowed
+        encoder = {k: [list(pair) for pair in out] for k, out in STANDARD.encoder.items()}
+        relay = {k: list(out) for k, out in STANDARD.relay.items()}
+        code = OneHopCode(**code_args(STANDARD, encoder=encoder, relay=relay))
+        assert code.first_layer_symbols(1, (1,)) == STANDARD.first_layer_symbols(1, (1,))
+
+    def test_same_verdict_as_the_literal_checks(self):
+        rng = random.Random(5)
+        bases = [STANDARD, scalar_linear_code(3), vector_linear_code(2)]
+        messages = set()
+        for _ in range(600):
+            args = mutations(rng, rng.choice(bases))
+            message = literal_validation(args)
+            assert validation_message(args) == message
+            messages.add(message)
+        assert messages == set(REJECTED) - {"d must be >= 2", "shots must be 1 or 2"} | {None}
