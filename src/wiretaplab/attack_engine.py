@@ -42,7 +42,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from operator import getitem, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .anti_latin import DEFAULT_SEED, find_decodable_pair, reference_decodable_pair
 from .errors import BudgetError
@@ -300,10 +300,10 @@ def _level(objective: tuple[int, int], d: int, n: int) -> SecurityLevel:
 
 
 # One entry per distinct (M, tap, W) column triple, passive or active.
-# The d=2 sweeps meet a few hundred triples, the d=3 affine sweep 675, and
-# the grid at d = 2, 3, 4 with perfbench's twelve verdicts at d = 4, 5
-# 341, so a whole sweep fits; the bound keeps a long-running process from
-# growing without end.
+# The d=2 sweeps meet a few hundred triples, the affine sweep 75 at d = 3
+# and 605 at d = 5, a cold grid at d = 2, 3, 4 145, and that grid with
+# perfbench's twelve verdicts at d = 4, 5 203, so a whole sweep fits; the
+# bound keeps a long-running process from growing without end.
 _TAP_MEMO_SIZE = 4096
 
 
@@ -621,40 +621,64 @@ def _affine_relay_code(d: int, params: tuple[int, ...]) -> OneHopCode:
                       name=f"scalar-affine-{'-'.join(map(str, params))}")
 
 
+def _linear_maps(d: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """Every linear map of Z_d^2: its coefficients (a, b, c, e) and its table.
+
+    The table lists (a x + b y, c x + e y) over (x, y) in lexicographic
+    order, so entry x*d + y is the image of (x, y).
+    """
+    points = list(product(range(d), repeat=2))
+    for a, b, c, e in product(range(d), repeat=4):
+        yield (a, b, c, e), tuple(((a * x + b * y) % d, (c * x + e * y) % d)
+                                  for x, y in points)
+
+
+def _pair_rank(d: int, messages: tuple[int, ...], encoder: Sequence[tuple[int, int]],
+               relay: Sequence[tuple[int, int]]) -> Optional[int]:
+    """None when M is lost, else the _LEVEL_RANK of the worst deterministic-passive view.
+
+    encoder gives each atom its (y1, y2) and messages its message; relay
+    gives each (y1, y2), in lexicographic order, its (y3, y4).  The
+    views are (Y_i, Y_j), i in 1, 2 and j in 3, 4.
+    """
+    second = [relay[y1 * d + y2] for y1, y2 in encoder]
+    if not _determines(messages, second):
+        return None
+    return min(_LEVEL_RANK[_view_level(d, messages, tap, w)]
+               for tap in zip(*encoder) for w in zip(*second))
+
+
 def _scalar_linear_row(d: int) -> dict[str, SecurityLevel]:
     """Family-best level per column over all correct affine-relay codes.
 
-    Each affine relay behind the standard encoder gets its deterministic-
-    passive level from the column terms of its four views.  A code
-    insecure there stays insecure under every superset class, so only the
-    others are built as codes and classified under the larger classes.
+    A relay offset only renames the symbols on e(3) and e(4), so each
+    linear relay behind the standard encoder stands for its d^2 affine
+    ones.  Its deterministic-passive level comes from the column terms of
+    its four views.  A code insecure there stays insecure under every
+    superset class, so only the others are built as codes and classified
+    under the larger classes.
     """
     atoms = list(product(range(d), repeat=2))
     messages = tuple(m for m, _ in atoms)
-    taps = (tuple(l for _, l in atoms), tuple((m + l) % d for m, l in atoms))
-    best = {c: SecurityLevel.INSECURE for c in TABLE_COLUMNS}
+    encoder = [(l, (m + l) % d) for m, l in atoms]
+    best = dict.fromkeys(TABLE_COLUMNS, _LEVEL_RANK[SecurityLevel.INSECURE])
     found_any = False
-    for params in product(range(d), repeat=6):
-        p, q, s0, t, u, w0 = params
-        y3 = tuple((p * y1 + q * y2 + s0) % d for y1, y2 in zip(*taps))
-        y4 = tuple((t * y1 + u * y2 + w0) % d for y1, y2 in zip(*taps))
-        if not _determines(messages, zip(y3, y4)):
+    for (p, q, t, u), relay in _linear_maps(d):
+        rank = _pair_rank(d, messages, encoder, relay)
+        if rank is None:
             continue
         found_any = True
-        levels = {"deterministic-passive": min(
-            (_view_level(d, messages, tap, w) for tap in taps for w in (y3, y4)),
-            key=_LEVEL_RANK.get)}
-        if levels["deterministic-passive"] is SecurityLevel.INSECURE:
+        if rank == _LEVEL_RANK[SecurityLevel.INSECURE]:
             continue
-        code = _affine_relay_code(d, params)
+        best["deterministic-passive"] = max(best["deterministic-passive"], rank)
+        code = _affine_relay_code(d, (p, q, 0, t, u, 0))
         for column in ("active", "adaptive"):
-            levels[column] = classify(code, _COLUMN_CLASS[column]).level
-        for column, level in levels.items():
-            if _LEVEL_RANK[level] > _LEVEL_RANK[best[column]]:
-                best[column] = level
+            level = classify(code, _COLUMN_CLASS[column]).level
+            best[column] = max(best[column], _LEVEL_RANK[level])
     if not found_any:
         raise RuntimeError("no correct affine relay exists; encoder sweep bug")
-    return best
+    levels = list(_LEVEL_RANK)
+    return {column: levels[rank] for column, rank in best.items()}
 
 
 def _code_row(code: OneHopCode) -> dict[str, SecurityLevel]:
@@ -795,103 +819,34 @@ class ScalarLinearSweepReport:
         return self.imperfect == 0 and self.perfect == 0
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key) on first lookup."""
-
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _passive_pair_levels(d: int, encoders: Iterable[Sequence[tuple[int, int]]],
-                         relays: Iterable[Iterable[tuple[int, int]]]) -> tuple[int, int, int]:
-    """(insecure, imperfect, perfect) counts over every correct table pair.
-
-    An encoder gives each atom (m, l) of Z_d^2, in lexicographic order,
-    its (y1, y2); a relay gives each (y1, y2), in lexicographic order,
-    its (y3, y4); each iterable is read once.  A pair is correct when M
-    is recoverable from (Y3, Y4), and its level is the worst over the
-    four deterministic-passive views (Y_i, Y_j), i in 1,2 and j in 3,4,
-    each read off the objective of its column terms.
-
-    Each predicate is memoised, in dicts local to the call, on exactly
-    what it reads.  Correctness reads the composed (Y3, Y4) column over
-    the atoms, each (y3, y4) coded as the small int y3*d + y4; a view
-    reads its (first-layer column, second-layer column) pair, each column
-    numbered on first sight.
-    """
-    messages = tuple(m for m, _ in product(range(d), repeat=2))
-    coded_relays = [tuple(y3 * d + y4 for y3, y4 in rel) for rel in relays]
-    column_ids: dict[tuple[int, ...], int] = {}
-    columns: list[tuple[int, ...]] = []
-
-    def column_id(column: tuple[int, ...]) -> int:
-        if column not in column_ids:
-            column_ids[column] = len(columns)
-            columns.append(column)
-        return column_ids[column]
-
-    def second_layer_ids(y34: tuple[int, ...]) -> Optional[tuple[int, int]]:
-        if not _determines(messages, y34):
-            return None
-        return column_id(tuple(c // d for c in y34)), column_id(tuple(c % d for c in y34))
-
-    def view_rank(key: tuple[int, int]) -> int:
-        return _LEVEL_RANK[_view_level(d, messages, columns[key[0]], columns[key[1]])]
-
-    # composed (Y3, Y4) column -> None if M is lost, else its two column ids
-    second_layer = _Memo(second_layer_ids)
-    # (first-layer column id, second-layer column id) -> _LEVEL_RANK of the view
-    rank = _Memo(view_rank)
-    # correct pairs per _LEVEL_RANK: insecure, imperfect, perfect
-    tally = [0, 0, 0]
-    for enc in encoders:
-        compose = itemgetter(*(y1 * d + y2 for y1, y2 in enc))
-        i1 = column_id(tuple(y1 for y1, _ in enc))
-        i2 = column_id(tuple(y2 for _, y2 in enc))
-        for rel in coded_relays:
-            outs = second_layer[compose(rel)]
-            if outs is not None:
-                i3, i4 = outs
-                tally[min(rank[i1, i3], rank[i1, i4], rank[i2, i3], rank[i2, i4])] += 1
-    return tuple(tally)
-
-
 def exhaustive_scalar_linear_check(d: int) -> ScalarLinearSweepReport:
     """Sweep every affine encoder x affine relay pair under passive taps.
 
     A code is correct when M is recoverable from (Y3, Y4); it is counted
     insecure when one of the four deterministic-passive views determines
     M exactly, imperfect when some view still depends on M, and perfect
-    otherwise.  Encoders that already lose M in (Y1, Y2) cannot be
-    correct and are pruned up front.  The pairs are counted by
-    _passive_pair_levels, which memoises correctness on the composed
-    (Y3, Y4) column and each view's level on its (first-layer column,
-    second-layer column) pair.  An affine map composed with an affine map
-    is affine, so at d=3 the 367416 pairs share 729 composed columns and
-    675 view column pairs.
+    otherwise.  Adding a constant to a wire only renames its symbols, so
+    correctness and every level are those of the linear parts: an
+    encoder offset renames Y1 and Y2 and moves into the relay's offset,
+    which renames Y3 and Y4.  So the sweep walks the d^4 linear encoders
+    that keep M in (Y1, Y2) against the d^4 linear relays, each pair by
+    _pair_rank, and counts each pair d^4 times, once per encoder and
+    relay offset.
     """
-    if d > 3:
-        raise BudgetError("the d^12 affine sweep is out of budget for d > 3")
-    atoms = list(product(range(d), repeat=2))
-    messages = [m for m, _ in atoms]
-    encoders = []
-    encoders_examined = 0
-    for a, b, e, c, f, g in product(range(d), repeat=6):
-        encoders_examined += 1
-        table = tuple(((a * m + b * l + e) % d, (c * m + f * l + g) % d) for m, l in atoms)
-        if _determines(messages, table):
-            encoders.append(table)
-    # generated, so only their compact coded form is ever held
-    relays = ([((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
-               for y1, y2 in atoms]
-              for p, q, s0, t, u, w0 in product(range(d), repeat=6))
-    insecure, imperfect, perfect = _passive_pair_levels(d, encoders, relays)
-    return ScalarLinearSweepReport(d, encoders_examined, len(encoders) * d ** 6,
+    if d > 5:
+        raise BudgetError("the d^8 linear sweep is out of budget for d > 5")
+    messages = tuple(m for m, _ in product(range(d), repeat=2))
+    maps = [table for _, table in _linear_maps(d)]
+    encoders = [table for table in maps if _determines(messages, table)]
+    # correct linear pairs per _LEVEL_RANK: insecure, imperfect, perfect
+    tally = [0, 0, 0]
+    for encoder in encoders:
+        for relay in maps:
+            rank = _pair_rank(d, messages, encoder, relay)
+            if rank is not None:
+                tally[rank] += 1
+    insecure, imperfect, perfect = (n * d ** 4 for n in tally)
+    return ScalarLinearSweepReport(d, d ** 6, len(encoders) * d ** 8,
                                    insecure + imperfect + perfect,
                                    insecure, imperfect, perfect)
 

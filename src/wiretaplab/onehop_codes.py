@@ -33,14 +33,21 @@ def _words(d: int, length: int) -> frozenset:
     return frozenset(product(range(d), repeat=length))
 
 
-def _all_pairs(d: int, outputs: Collection) -> bool:
-    """True iff every output is a pair over Z_d, tuple pairs by set lookup."""
+def _as_pairs(d: int, outputs: Collection) -> Optional[Collection]:
+    """The outputs when each is a pair over Z_d, else None.
+
+    Tuple pairs pass by set lookup and come back as given; when an output
+    is a list, the outputs come back as a tuple of tuple pairs.
+    """
     try:
         if _words(d, 2).issuperset(outputs):
-            return True
+            return outputs
     except TypeError:
         pass  # an output is a list
-    return all(len(out) == 2 and all(0 <= v < d for v in out) for out in outputs)
+    pairs = tuple(map(tuple, outputs))
+    if all(len(out) == 2 and all(0 <= v < d for v in out) for out in pairs):
+        return pairs
+    return None
 
 
 @dataclass(frozen=True)
@@ -74,16 +81,26 @@ class OneHopCode:
         d = self.d
         if set(self.encoder) != _words(d, 1 + self.scramble_count):
             raise ValueError("encoder table is not total over (M, scrambles)")
-        for out in self.encoder.values():
+        converted = {}
+        for key, out in self.encoder.items():
             if len(out) != self.shots:
                 raise ValueError("encoder output must have one pair per shot")
-            if not _all_pairs(d, out):
+            pairs = _as_pairs(d, out)
+            if pairs is None:
                 raise ValueError("encoder outputs must be pairs over Z_d")
+            if pairs is not out:
+                converted[key] = pairs
+        if converted:
+            object.__setattr__(self, "encoder", {**self.encoder, **converted})
         relay_arity = 2 * self.shots + (1 if self.relay_randomness else 0)
         if set(self.relay) != _words(d, relay_arity):
             raise ValueError("relay table is not total over its inputs")
-        if not _all_pairs(d, self.relay.values()):
+        outputs = self.relay.values()
+        pairs = _as_pairs(d, outputs)
+        if pairs is None:
             raise ValueError("relay outputs must be pairs over Z_d")
+        if pairs is not outputs:
+            object.__setattr__(self, "relay", dict(zip(self.relay, pairs)))
         if set(self.decoder) != _words(d, 2):
             raise ValueError("decoder table is not total over (Y3, Y4)")
         if not all(0 <= v < d for v in self.decoder.values()):

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretaplab import attack_engine
@@ -32,7 +32,7 @@ from wiretaplab.attack_engine import (
 from wiretaplab.attack_engine import (
     _affine_relay_code,
     _columns,
-    _passive_pair_levels,
+    _pair_rank,
     _scalar_linear_row,
     _slice_columns,
     _tap_terms,
@@ -733,7 +733,7 @@ class TestAntiLatinPair:
 def literal_pair_levels(d, encoders, relays):
     """Literal oracle: (insecure, imperfect, perfect) over correct table pairs.
 
-    Tables are laid out as for _passive_pair_levels.  Correctness and the
+    Tables are laid out as for _pair_rank.  Correctness and the
     four deterministic-passive views are re-derived from scratch for
     each pair, with no memo.
     """
@@ -836,13 +836,54 @@ class TestScalarLinearSweep:
         # correct codes a deterministic-passive tap cannot break (the
         # standard-equivalent ones) and the encoders that lose M
         tables = [list(t) for t in product(product(range(2), repeat=2), repeat=4)]
-        levels = _passive_pair_levels(2, tables, tables)
+        messages = (0, 0, 1, 1)
+        ranks = Counter(_pair_rank(2, messages, enc, rel) for enc in tables for rel in tables)
+        levels = (ranks[0], ranks[1], ranks[2])
         assert levels == literal_pair_levels(2, tables, tables)
         assert levels == (11232 - 128, 128, 0)
 
+    def test_d4_report(self):
+        # 132 of the 256 linear encoders keep M and 18432 linear pairs are
+        # correct; each stands for d^2 x d^2 offsets
+        assert exhaustive_scalar_linear_check(4) == ScalarLinearSweepReport(
+            4, 4096, 8650752, 4718592, 4718592, 0, 0)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            exhaustive_scalar_linear_check(4)
+            exhaustive_scalar_linear_check(6)
+
+
+class TestOffsetsRenameSymbols:
+    """Adding a constant to a wire only renames its symbols, so an affine
+    map classifies as its linear part; both affine walks rest on this.
+    The examples are the first d = 6 survivor, imperfect in every class."""
+
+    @PROPERTY
+    @given(d=st.integers(2, 6), params=st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    @example(d=6, params=[2, 3, 4, 3, 2, 1])
+    def test_relay_offsets_keep_every_verdict(self, d, params):
+        p, q, s, t, u, w = (x % d for x in params)
+        linear = _affine_relay_code(d, (p, q, 0, t, u, 0))
+        affine = _affine_relay_code(d, (p, q, s, t, u, w))
+        for klass in (DP, AP, DA, AA):
+            want, got = classify(linear, klass).to_json_dict(), classify(affine, klass).to_json_dict()
+            del want["code_id"], got["code_id"]
+            assert got == want, klass
+
+    @PROPERTY
+    @given(d=st.integers(2, 6), params=st.lists(st.integers(0, 5), min_size=12, max_size=12))
+    @example(d=6, params=[0, 1, 5, 1, 1, 2, 2, 3, 0, 3, 2, 0])
+    def test_encoder_offsets_keep_the_pair_rank(self, d, params):
+        a, b, e, c, f, g, p, q, s, t, u, w = (x % d for x in params)
+        atoms = list(product(range(d), repeat=2))
+        messages = tuple(m for m, _ in atoms)
+        relay = [((p * y1 + q * y2 + s) % d, (t * y1 + u * y2 + w) % d) for y1, y2 in atoms]
+
+        def rank(e0, g0):
+            encoder = [((a * m + b * l + e0) % d, (c * m + f * l + g0) % d) for m, l in atoms]
+            return _pair_rank(d, messages, encoder, relay)
+
+        assert rank(e, g) == rank(0, 0)
 
 
 class TestScalarLinearD6:

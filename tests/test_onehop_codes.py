@@ -11,6 +11,7 @@ from wiretaplab.anti_latin import (
     find_decodable_pair,
     reference_decodable_pair,
 )
+from wiretaplab.attack_engine import AttackClass, classify
 from wiretaplab.info_theory import JointDistribution, is_independent, mutual_information
 from wiretaplab.onehop_codes import (
     OneHopCode,
@@ -395,6 +396,13 @@ class TestValidation:
         relay = {k: list(out) for k, out in STANDARD.relay.items()}
         code = OneHopCode(**code_args(STANDARD, encoder=encoder, relay=relay))
         assert code.first_layer_symbols(1, (1,)) == STANDARD.first_layer_symbols(1, (1,))
+        # and such a code evaluates as its tuple form does
+        assert check_correctness(code)
+        for klass in AttackClass:
+            verdict = classify(code, klass).to_json_dict()
+            standard = classify(STANDARD, klass).to_json_dict()
+            del verdict["code_id"], standard["code_id"]
+            assert verdict == standard, klass
 
     def test_same_verdict_as_the_literal_checks(self):
         rng = random.Random(5)
