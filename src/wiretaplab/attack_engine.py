@@ -46,10 +46,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .anti_latin import DEFAULT_SEED, find_decodable_pair, reference_decodable_pair
 from .errors import BudgetError
-from .info_theory import JointDistribution, _entropy_of_weights, _project
+from .info_theory import JointDistribution, _determines, _entropy_of_weights, _project
 from .onehop_codes import (
     OneHopCode,
-    _determines,
     anti_latin_code,
     enumerate_onehop_codes,
     scalar_linear_code,
@@ -157,6 +156,15 @@ class AttackStrategy:
 _ENUMERATION_CAP = 2_500_000
 # largest alphabet whose d^d substitution maps are enumerated one by one
 _ACTIVE_MAP_CAP_D = 6
+# classify reads the relay once per atom, and an active class once per atom
+# and per-shot substitute.  Passive reads cost the most: near the cap,
+# standard_nonlinear_code(724) deterministic-passive (524176 reads) took 12 s
+# after a 3.7 s build and vector_linear_code(26) adaptive-passive (456976)
+# 11 s after 2.3 s, while standard_nonlinear_code(80) adaptive-active
+# (512000) took 5.7 s; at 10^6 reads the passive classes took 24 to 39 s (one
+# core of a 2-vCPU x86-64 VM, CPython 3.11).  So 2^19 reads is up to 16 s
+# of build and classify on that core, about half a minute on one half as fast.
+_CLASSIFY_READ_CAP = 1 << 19
 
 
 def enumerate_attacks(d: int, klass: AttackClass,
@@ -504,6 +512,23 @@ def _active_optimum(code: OneHopCode, klass: AttackClass) -> tuple:
     return best
 
 
+def check_classify_budget(d: int, shots: int, atoms: int, klass: AttackClass) -> None:
+    """BudgetError unless classify may walk a code of this shape.
+
+    atoms counts encoder inputs times relay symbols.  Two-shot active
+    classes walk the d^d maps, so stop past d = 6.
+    """
+    reads = atoms
+    if klass.is_active:
+        if shots == 2 and d > _ACTIVE_MAP_CAP_D:
+            raise BudgetError(f"two-shot active classification enumerates d^d maps; "
+                              f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
+        reads *= d ** shots
+    if reads > _CLASSIFY_READ_CAP:
+        raise BudgetError(f"classification reads the relay {reads} times; "
+                          f"out of budget above {_CLASSIFY_READ_CAP}")
+
+
 def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     """Exact verdict over every strategy of the class, without enumerating it.
 
@@ -528,13 +553,10 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     deterministic class, H(M) minus the per-view terms P(v) H(M | v, W)
     in view order for an adaptive one.
 
-    Two-shot active classes enumerate the d^d maps and raise BudgetError
-    for d > 6.
+    check_classify_budget raises BudgetError first for codes out of budget.
     """
-    if klass.is_active and code.shots == 2 and code.d > _ACTIVE_MAP_CAP_D:
-        raise BudgetError(f"two-shot active classification enumerates d^d maps; "
-                          f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
     d, s = code.d, code.shots
+    check_classify_budget(d, s, len(code.encoder) * len(code.relay_random_values()), klass)
     if klass.is_active:
         objective, first_edge, mod, selector = _active_optimum(code, klass)
         columns = _columns(code, [_placed(code, {2 * i + first_edge - 1: mod

@@ -80,6 +80,13 @@ def _load_network(spec: str) -> nc.WiretapNetwork:
         raise
 
 
+def _family_shape(family: str, d: int) -> tuple[int, int]:
+    """(shots, atoms) of the family's code over Z_d, known before it is built."""
+    if family == "vector-linear":
+        return 2, d ** 4
+    return 1, d ** 3 if family == "scalar-linear" else d ** 2
+
+
 def _build_family_code(family: str, d: int, seed: int):
     if family == "scalar-linear":
         return scalar_linear_code(d)
@@ -119,8 +126,11 @@ def cmd_classify(args) -> int:
     if not args.family or not args.klass:
         raise ValueError("classify needs --family and --class (or --table)")
     d = int(args.d)
+    klass = _parse_class(args.klass)
+    if d >= 2:  # smaller d is refused where the code is built
+        ae.check_classify_budget(d, *_family_shape(args.family, d), klass)
     code = _build_family_code(args.family, d, args.seed)
-    verdict = ae.classify(code, _parse_class(args.klass))
+    verdict = ae.classify(code, klass)
     if args.format == "json":
         _emit_json({"verdict": verdict.to_json_dict()})
     else:

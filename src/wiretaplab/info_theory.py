@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 from itertools import combinations, product
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BudgetError
 
@@ -149,47 +149,32 @@ def _positions(dist: JointDistribution, names: Names) -> tuple[int, ...]:
         raise KeyError(f"unknown variable(s): {sorted(unknown)}") from None
 
 
+def _picker(positions: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Key -> its sub-key on positions; a slice keeps one position a 1-tuple."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0))
+
+
 def _project(weights: Mapping[tuple[int, ...], int],
              positions: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """The weights summed onto positions, cells in order of first occurrence."""
+    pick = _picker(positions)
     out: dict[tuple[int, ...], int] = {}
+    get = out.get
     for key, w in weights.items():
-        sub = tuple(key[i] for i in positions)
-        out[sub] = out.get(sub, 0) + w
+        sub = pick(key)
+        out[sub] = get(sub, 0) + w
     return out
 
 
 def _marginal_weights(dist: JointDistribution,
                       positions: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The weights of the marginal on sorted positions, memoised on dist.
-
-    A new marginal is projected from the smallest one already built that
-    contains it.  Its cells come in order of first occurrence in the
-    source, which is their order of first occurrence in the full table,
-    so every marginal equals _project(dist.weights, positions) item for
-    item and the entropies summed over it are the same floats.  The
-    returned dict is shared: do not modify it.
-    """
-    memo = dist._marginals
-    found = memo.get(positions)
-    if found is not None:
-        return found
-    wanted = set(positions)
-    source = None
-    for key, table in memo.items():
-        if (source is None or len(table) < len(source)) and wanted.issubset(key):
-            source_key, source = key, table
-    index = [source_key.index(p) for p in positions]
-    pick = itemgetter(*index)
-    out: dict = {}
-    get = out.get
-    for key, w in source.items():
-        sub = pick(key)
-        out[sub] = get(sub, 0) + w
-    if len(index) == 1:
-        # itemgetter of one index returns the bare value
-        out = {(v,): w for v, w in out.items()}
-    memo[positions] = out
-    return out
+    """_project(dist.weights, positions), memoised on dist: do not modify it."""
+    found = dist._marginals.get(positions)
+    if found is None:
+        found = dist._marginals[positions] = _project(dist.weights, positions)
+    return found
 
 
 def _entropy_of_weights(weights: Mapping[tuple[int, ...], int], total: int) -> float:
@@ -262,14 +247,10 @@ def _independent(weights: Mapping[tuple[int, ...], int], total: int,
     one (a, b) cell: w * total == w_a * w_b for every cell of the support
     (the cells off the support then have w_a * w_b == 0 as well).
     """
-    wa = _project(weights, apos)
-    wb = _project(weights, bpos)
-    for key, w in weights.items():
-        ka = tuple(key[i] for i in apos)
-        kb = tuple(key[i] for i in bpos)
-        if w * total != wa[ka] * wb[kb]:
-            return False
-    return True
+    wa, pick_a = _project(weights, apos), _picker(apos)
+    wb, pick_b = _project(weights, bpos), _picker(bpos)
+    return all(w * total == wa[pick_a(key)] * wb[pick_b(key)]
+               for key, w in weights.items())
 
 
 def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
@@ -283,6 +264,16 @@ def is_independent(dist: JointDistribution, a: Names, b: Names) -> bool:
                         [key.index(p) for p in apos], [key.index(p) for p in bpos])
 
 
+def _determines(targets: Iterable, views: Iterable) -> bool:
+    """True iff equal views always come with equal targets, listed atom by
+    atom (or cell by cell): the target is then a function of the view."""
+    owner: dict = {}
+    for target, view in zip(targets, views):
+        if owner.setdefault(view, target) != target:
+            return False
+    return True
+
+
 def is_function_of(dist: JointDistribution, target: Names, given: Names) -> bool:
     """True iff the target is determined by the given variables on the support.
 
@@ -294,12 +285,8 @@ def is_function_of(dist: JointDistribution, target: Names, given: Names) -> bool
     gpos = _positions(dist, given)
     if not tpos:
         raise ValueError("is_function_of needs a nonempty target")
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for key in dist.weights:
-        tval = tuple(key[i] for i in tpos)
-        if seen.setdefault(tuple(key[i] for i in gpos), tval) != tval:
-            return False
-    return True
+    keys = dist.weights.keys()
+    return _determines(map(_picker(tpos), keys), map(_picker(gpos), keys))
 
 
 class HanCheckResult(NamedTuple):
@@ -497,7 +484,7 @@ def check_han_collection(dist: JointDistribution,
     y_key = joint_key(range(k))
     needed = [*subset_keys, y_key]
     if gpos:
-        needed.append(gpos)  # last, so the lattice projects X from a small marginal
+        needed.append(gpos)  # H(X), subtracted from every term
     total = dist.total
     entropies = {key: _entropy_of_weights(_marginal_weights(dist, key), total)
                  for key in dict.fromkeys(needed)}

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import product
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
+from .info_theory import _determines
 
 
 EncoderTable = dict[tuple[int, ...], tuple[tuple[int, int], ...]]
@@ -31,23 +32,6 @@ DecoderTable = dict[tuple[int, int], int]
 def _words(d: int, length: int) -> frozenset:
     """Every word of the given length over Z_d: the keys of a total table."""
     return frozenset(product(range(d), repeat=length))
-
-
-def _as_pairs(d: int, outputs: Collection) -> Optional[Collection]:
-    """The outputs when each is a pair over Z_d, else None.
-
-    Tuple pairs pass by set lookup and come back as given; when an output
-    is a list, the outputs come back as a tuple of tuple pairs.
-    """
-    try:
-        if _words(d, 2).issuperset(outputs):
-            return outputs
-    except TypeError:
-        pass  # an output is a list
-    pairs = tuple(map(tuple, outputs))
-    if all(len(out) == 2 and all(0 <= v < d for v in out) for out in pairs):
-        return pairs
-    return None
 
 
 @dataclass(frozen=True)
@@ -79,32 +63,29 @@ class OneHopCode:
         if self.shots not in (1, 2):
             raise ValueError("shots must be 1 or 2")
         d = self.d
+        # outputs are stored as tuples; 1.0 and True pass as members, 0.5 not
+        pairs = _words(d, 2)
         if set(self.encoder) != _words(d, 1 + self.scramble_count):
             raise ValueError("encoder table is not total over (M, scrambles)")
-        converted = {}
+        encoder = {}
         for key, out in self.encoder.items():
+            out = encoder[key] = tuple(map(tuple, out))
             if len(out) != self.shots:
                 raise ValueError("encoder output must have one pair per shot")
-            pairs = _as_pairs(d, out)
-            if pairs is None:
+            if not pairs.issuperset(out):
                 raise ValueError("encoder outputs must be pairs over Z_d")
-            if pairs is not out:
-                converted[key] = pairs
-        if converted:
-            object.__setattr__(self, "encoder", {**self.encoder, **converted})
         relay_arity = 2 * self.shots + (1 if self.relay_randomness else 0)
         if set(self.relay) != _words(d, relay_arity):
             raise ValueError("relay table is not total over its inputs")
-        outputs = self.relay.values()
-        pairs = _as_pairs(d, outputs)
-        if pairs is None:
+        relay = {key: tuple(out) for key, out in self.relay.items()}
+        if not pairs.issuperset(relay.values()):
             raise ValueError("relay outputs must be pairs over Z_d")
-        if pairs is not outputs:
-            object.__setattr__(self, "relay", dict(zip(self.relay, pairs)))
-        if set(self.decoder) != _words(d, 2):
+        if set(self.decoder) != pairs:
             raise ValueError("decoder table is not total over (Y3, Y4)")
-        if not all(0 <= v < d for v in self.decoder.values()):
+        if not _words(d, 1).issuperset(zip(self.decoder.values())):  # 1-tuples
             raise ValueError("decoder outputs must lie in Z_d")
+        object.__setattr__(self, "encoder", encoder)
+        object.__setattr__(self, "relay", relay)
 
     @property
     def rate_bits(self) -> float:
@@ -250,19 +231,6 @@ def check_correctness(code: OneHopCode) -> bool:
         for lp in code.relay_random_values():
             if code.transmit(m, scrambles, lp)[2] != m:
                 return False
-    return True
-
-
-def _determines(messages: Iterable[int], outputs: Iterable) -> bool:
-    """True iff no output is shared by atoms carrying different messages.
-
-    messages and outputs list each atom's message and what some party
-    sees of it; the message is then a function of what that party sees.
-    """
-    owner: dict = {}
-    for m, out in zip(messages, outputs):
-        if owner.setdefault(out, m) != m:
-            return False
     return True
 
 

@@ -19,6 +19,7 @@ from wiretaplab.attack_engine import (
     ScalarLinearSweepReport,
     SecurityLevel,
     anti_latin_pair,
+    check_classify_budget,
     check_extended_two_shot_secrecy,
     classification_table,
     classify,
@@ -448,13 +449,32 @@ class TestClassify:
 
     def test_active_budget(self):
         # two-shot active classes enumerate d^d maps and stop at d > 6;
-        # single-shot active classes are polynomial and have no cap
+        # single-shot active classes are polynomial and meet only the read cap
         with pytest.raises(BudgetError):
             classify(vector_linear_code(7), DA)
         with pytest.raises(BudgetError):
             classify(vector_linear_code(7), AA)
         assert classify(vector_linear_code(7), AP).level is SecurityLevel.PERFECT
         assert classify(standard_nonlinear_code(7), AA).level is SecurityLevel.INSECURE
+
+    def test_read_budget(self, monkeypatch):
+        cap = attack_engine._CLASSIFY_READ_CAP
+        check_classify_budget(2, 1, cap, DP)
+        check_classify_budget(8, 1, cap // 8, DA)
+        check_classify_budget(4, 2, cap // 16, AA)
+        check_classify_budget(4, 2, cap, AP)
+        check_classify_budget(60, 1, 60 ** 2, AA)
+        for args in [(2, 1, cap + 1, DP), (8, 1, cap // 8 + 1, DA), (4, 2, cap // 16 + 1, AA)]:
+            with pytest.raises(BudgetError, match="reads the relay"):
+                check_classify_budget(*args)
+
+        def no_columns(*args):
+            raise AssertionError("a column walk started")
+
+        # 27^3 atoms times 27 substitutes, refused before the first column walk
+        monkeypatch.setattr(attack_engine, "_columns", no_columns)
+        with pytest.raises(BudgetError, match="531441"):
+            classify(scalar_linear_code(27), DA)
 
     def test_leakage_bounded_by_log_d(self):
         for d in (2, 3):
@@ -916,6 +936,28 @@ class TestScalarLinearD6:
                 survivors.append((p, q, s0, t, u, w0))
         assert len(survivors) == 432
         assert survivors[0] == (2, 3, 0, 3, 2, 0)
+
+    def test_row_classifies_exactly_the_linear_survivors(self, monkeypatch):
+        d = 6
+        atoms = list(product(range(d), repeat=2))
+        messages = tuple(m for m, _ in atoms)
+        encoder = [(l, (m + l) % d) for m, l in atoms]
+        survivors = []
+        for p, q, t, u in product(range(d), repeat=4):
+            relay = [((p * y1 + q * y2) % d, (t * y1 + u * y2) % d) for y1, y2 in atoms]
+            if _pair_rank(d, messages, encoder, relay) not in (None, 0):
+                survivors.append(_affine_relay_code(d, (p, q, 0, t, u, 0)))
+        assert len(survivors) == 12
+        calls = []
+        real = attack_engine.classify
+
+        def spy(code, klass):
+            calls.append((code, klass))
+            return real(code, klass)
+
+        monkeypatch.setattr(attack_engine, "classify", spy)
+        _scalar_linear_row(d)
+        assert calls == [(code, klass) for code in survivors for klass in (DA, AA)]
 
     def test_first_survivor_witnesses_recheck_by_simulation(self):
         # Y3 = 2 Y1 + 3 Y2 and Y4 = 3 Y1 + 2 Y2 mod 6: tapping e(1) and e(4)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from wiretaplab import algebra
+from wiretaplab import algebra, attack_engine
 from wiretaplab.anti_latin import reference_decodable_pair
-from wiretaplab.cli import main
+from wiretaplab.cli import _build_family_code, _family_shape, main
+
+FAMILIES = ("scalar-linear", "scalar-linear-norand", "standard", "anti-latin",
+            "vector-linear")
 
 
 def run(capsys, *argv):
@@ -183,6 +186,31 @@ class TestExitCodes:
                            "--d", "7", "--class", "adaptive-active")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("family, d, klass", [
+        ("scalar-linear", "60", "adaptive-active"),
+        ("standard", "2000", "passive"),
+    ])
+    def test_classify_budget_is_3(self, capsys, monkeypatch, family, d, klass):
+        # 60^3 atoms x 60 substitutes, and 2000^2 atoms: refused before the
+        # code is built, so before the first column walk
+        def no_columns(*args):
+            raise AssertionError("a column walk started")
+
+        monkeypatch.setattr(attack_engine, "_columns", no_columns)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--family", family, "--d", d,
+                             "--class", klass)
+        assert code == 3
+        assert "budget" in err and "reads the relay" in err
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_shape_is_the_built_code_shape(self, family):
+        code = _build_family_code(family, 3, 0)
+        atoms = len(code.encoder) * len(code.relay_random_values())
+        assert _family_shape(family, 3) == (code.shots, atoms)
 
     @pytest.mark.parametrize("argv", [
         ("antilatin", "verify"),

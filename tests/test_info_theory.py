@@ -396,6 +396,16 @@ def fraction_weights(weights):
     return {k: int(p * denom) for k, p in table.items()}, denom
 
 
+def literal_project(weights, positions):
+    """Oracle: the weights summed onto positions, each sub-key built one
+    position at a time, cells in order of first occurrence."""
+    out = {}
+    for key, w in weights.items():
+        sub = tuple(key[i] for i in positions)
+        out[sub] = out.get(sub, 0) + w
+    return out
+
+
 def names_subset(draw, variables):
     names = [n for n, _ in variables]
     return draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
@@ -441,19 +451,19 @@ class TestIntegerWeightProperties:
         d = JointDistribution.from_weights(variables, weights)
         old, denom = fraction_weights(weights)
         pos = tuple(i for i, (n, _) in enumerate(variables) if n in names)
-        assert entropy(d, names) == _entropy_of_weights(_project(old, pos), denom)
+        assert entropy(d, names) == _entropy_of_weights(literal_project(old, pos), denom)
 
         # first variable conditions when there are others, the rest are Y groups
         given_pos = (0,) if len(variables) > 1 else ()
         ys = [i for i in range(len(variables)) if i not in given_pos]
         k = len(ys)
         r = data.draw(st.integers(1, k))
-        h_given = (_entropy_of_weights(_project(old, given_pos), denom)
+        h_given = (_entropy_of_weights(literal_project(old, given_pos), denom)
                    if given_pos else 0.0)
 
         def cond_h(idx):
             key = tuple(sorted(set(given_pos) | {ys[i] for i in idx}))
-            return _entropy_of_weights(_project(old, key), denom) - h_given
+            return _entropy_of_weights(literal_project(old, key), denom) - h_given
 
         slack = (sum(cond_h(s) for s in combinations(range(k), r))
                  - math.comb(k - 1, r - 1) * cond_h(range(k)))
@@ -463,10 +473,27 @@ class TestIntegerWeightProperties:
 
 
 # ---------------------------------------------------------------------------
-# the subset-marginal lattice and the exact Han decision
+# projections, the marginal memo and the exact Han decision
 
 
-class TestMarginalLattice:
+class TestMarginalMemo:
+    def test_project_keeps_keys_as_tuples_in_position_order(self):
+        weights = {(0, 1, 2): 1, (1, 1, 0): 2, (0, 0, 2): 3}
+        for positions in [(), (1,), (2,), (0, 2), (2, 0), (2, 1, 0), (0, 1, 2)]:
+            got = _project(weights, positions)
+            assert list(got.items()) == list(literal_project(weights, positions).items())
+        assert _project(weights, (2,)) == {(2,): 4, (0,): 2}
+        assert _project(weights, (2, 0)) == {(2, 0): 4, (0, 1): 2}
+        assert _project(weights, ()) == {(): 6}
+
+    @PROPERTY
+    @given(st.data())
+    def test_project_is_the_literal_sum(self, data):
+        variables, weights = data.draw(weight_tables())
+        positions = data.draw(st.lists(st.integers(0, len(variables) - 1), unique=True))
+        got = _project(weights, positions)
+        assert list(got.items()) == list(literal_project(weights, positions).items())
+
     @PROPERTY
     @given(st.data())
     def test_every_marginal_is_the_direct_projection(self, data):
@@ -478,9 +505,9 @@ class TestMarginalLattice:
             max_size=12))
         for key in keys:
             got = _marginal_weights(d, key)
-            assert list(got.items()) == list(_project(d.weights, key).items())
+            assert list(got.items()) == list(literal_project(d.weights, key).items())
         for key, got in d._marginals.items():
-            assert list(got.items()) == list(_project(d.weights, key).items())
+            assert list(got.items()) == list(literal_project(d.weights, key).items())
 
     def test_memo_is_not_part_of_the_value(self):
         rng = random.Random(4)

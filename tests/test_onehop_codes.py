@@ -291,17 +291,17 @@ def literal_validation(args):
         if len(out) != shots:
             return "encoder output must have one pair per shot"
         for pair in out:
-            if len(pair) != 2 or not all(0 <= v < d for v in pair):
+            if len(pair) != 2 or not all(v in range(d) for v in pair):
                 return "encoder outputs must be pairs over Z_d"
     arity = 2 * shots + (1 if args["relay_randomness"] else 0)
     if set(args["relay"]) != set(product(range(d), repeat=arity)):
         return "relay table is not total over its inputs"
     for out in args["relay"].values():
-        if len(out) != 2 or not all(0 <= v < d for v in out):
+        if len(out) != 2 or not all(v in range(d) for v in out):
             return "relay outputs must be pairs over Z_d"
     if set(args["decoder"]) != set(product(range(d), repeat=2)):
         return "decoder table is not total over (Y3, Y4)"
-    if not all(0 <= v < d for v in args["decoder"].values()):
+    if not all(v in range(d) for v in args["decoder"].values()):
         return "decoder outputs must lie in Z_d"
     return None
 
@@ -389,6 +389,19 @@ class TestValidation:
         assert literal_validation(REJECTED[message]) == message
         with pytest.raises(ValueError, match=re.escape(message)):
             OneHopCode(**REJECTED[message])
+
+    @pytest.mark.parametrize("table, message", [
+        ("encoder", "encoder outputs must be pairs over Z_d"),
+        ("relay", "relay outputs must be pairs over Z_d"),
+        ("decoder", "decoder outputs must lie in Z_d"),
+    ])
+    def test_half_symbols_are_refused(self, table, message):
+        half = {"encoder": ((0, 0.5),), "relay": (0.5, 0), "decoder": 0.5}[table]
+        key = next(iter(getattr(STANDARD, table)))
+        args = code_args(STANDARD, **{table: _with(getattr(STANDARD, table), key, half)})
+        assert literal_validation(args) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OneHopCode(**args)
 
     def test_list_pairs_are_accepted(self):
         # a direct caller may pass pairs as lists, as the checks always allowed
