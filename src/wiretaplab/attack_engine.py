@@ -50,7 +50,8 @@ from .info_theory import JointDistribution, _determines, _entropy_of_weights, _p
 from .onehop_codes import (
     OneHopCode,
     anti_latin_code,
-    enumerate_onehop_codes,
+    enumerate_code_tables,
+    enumerate_onehop_codes,  # kept in this namespace: perfbench wraps it here
     scalar_linear_code,
     standard_nonlinear_code,
     vector_linear_code,
@@ -63,13 +64,15 @@ class AttackClass(Enum):
     DETERMINISTIC_ACTIVE = "deterministic-active"
     ADAPTIVE_ACTIVE = "adaptive-active"
 
+    # read off the member's own value, not by looking members up: a passive
+    # classify reads these six times
     @property
     def is_active(self) -> bool:
-        return self in (AttackClass.DETERMINISTIC_ACTIVE, AttackClass.ADAPTIVE_ACTIVE)
+        return "-active" in self._value_
 
     @property
     def is_adaptive(self) -> bool:
-        return self in (AttackClass.ADAPTIVE_PASSIVE, AttackClass.ADAPTIVE_ACTIVE)
+        return "adaptive-" in self._value_
 
     @classmethod
     def from_name(cls, name: str) -> "AttackClass":
@@ -408,9 +411,10 @@ def _placed(code: OneHopCode, maps: dict[int, Sequence[int]]) -> tuple:
     return tuple(maps.get(i, _identity(code.d)) for i in range(2 * code.shots))
 
 
-def _passive_optimum(d: int, shots: int, klass: AttackClass,
-                     columns: tuple[tuple[int, ...], ...]) -> tuple:
-    """(objective, first_edge, selector) of a passive class's first optimum.
+def _passive_verdict(d: int, shots: int, klass: AttackClass,
+                     columns: tuple[tuple[int, ...], ...]
+                     ) -> tuple[SecurityLevel, AttackStrategy]:
+    """(level, witness) of a passive class: its first optimum on the code's columns.
 
     Each tap edge reads the terms of W = Y3 and W = Y4.  A deterministic
     selector takes e(3) unless e(4) has the strictly smaller product; an
@@ -436,7 +440,9 @@ def _passive_optimum(d: int, shots: int, klass: AttackClass,
                                (_objective(views4), (4,) * d ** shots)])
         if best is None or _less(cand[0], best[0]):
             best = cand[0], first_edge, cand[1]
-    return best
+    objective, first_edge, selector = best
+    witness = AttackStrategy(d, shots, klass, first_edge, _identity(d), selector)
+    return _level(objective, d, len(messages)), witness
 
 
 def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
@@ -561,12 +567,13 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
         objective, first_edge, mod, selector = _active_optimum(code, klass)
         columns = _columns(code, [_placed(code, {2 * i + first_edge - 1: mod
                                                   for i in range(s)})])
+        level = _level(objective, d, len(columns[0]))
+        witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
     else:
         columns = _columns(code)
-        objective, first_edge, selector = _passive_optimum(d, s, klass, columns)
-        mod = _identity(d)
-    witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
-    messages, tap, n = columns[0], columns[first_edge], len(columns[0])
+        level, witness = _passive_verdict(d, s, klass, columns)
+    selector = witness.selector
+    messages, tap, n = columns[0], columns[witness.first_edge], len(columns[0])
     if klass.is_adaptive:
         views3 = _tap_terms(messages, tap, columns[3])[0]
         views4 = _tap_terms(messages, tap, columns[4])[0]
@@ -576,7 +583,7 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
         leak = _entropy_of_weights(Counter(messages), n) - cond
     else:
         leak = _tap_terms(messages, tap, columns[selector[0]])[1]
-    return SecurityVerdict(code.name, klass, _level(objective, d, n), max(leak, 0.0), witness)
+    return SecurityVerdict(code.name, klass, level, max(leak, 0.0), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +810,16 @@ class NonexistenceReport:
 def exhaustive_nonexistence_check(
         d: int = 2,
         klass: AttackClass = AttackClass.ADAPTIVE_PASSIVE) -> NonexistenceReport:
-    """Classify every correct no-relay-randomness code over Z_2.
+    """Classify every correct no-relay-randomness code over Z_2 under a passive class.
+
+    The sweep walks the tables of enumerate_code_tables, the codes of
+    enumerate_onehop_codes in their order and under their names, without
+    building them.  A passive verdict reads only the atom columns (M, Y1,
+    Y2, Y3, Y4), which the 11232 codes share: each distinct column tuple
+    (3888 of them) is decided once, as classify decides it, and codes
+    with equal columns share one witness.  An active verdict reads the
+    relay table beyond those columns, so an active class raises
+    ValueError; classify the codes of enumerate_onehop_codes for it.
 
     Against adaptive attacks the sweep is expected to find no code that
     avoids full message recovery; the report carries any counterexamples
@@ -811,19 +827,26 @@ def exhaustive_nonexistence_check(
     """
     if d != 2:
         raise ValueError("the exhaustive sweep is defined for d=2")
-    counts = {level: 0 for level in SecurityLevel}
+    if klass.is_active:
+        raise ValueError(f"the exhaustive sweep covers the passive classes "
+                         f"{AttackClass.DETERMINISTIC_PASSIVE.value} and "
+                         f"{AttackClass.ADAPTIVE_PASSIVE.value}, not {klass.value}")
+    counts = dict.fromkeys(SecurityLevel, 0)
     counterexamples = []
     witnesses = {}
-    total = 0
-    for code in enumerate_onehop_codes(2):
-        total += 1
-        verdict = classify(code, klass)
-        counts[verdict.level] += 1
-        if verdict.level is SecurityLevel.INSECURE:
-            witnesses[code.name] = verdict.witness
+    decided: dict[tuple, tuple[SecurityLevel, AttackStrategy]] = {}
+    for name, _, _, columns in enumerate_code_tables(2):
+        found = decided.get(columns)
+        if found is None:
+            found = decided[columns] = _passive_verdict(2, 1, klass, columns)
+        level, witness = found
+        counts[level] += 1
+        if level is SecurityLevel.INSECURE:
+            witnesses[name] = witness
         else:
-            counterexamples.append(code.name)
-    return NonexistenceReport(klass, total, counts, tuple(counterexamples), witnesses)
+            counterexamples.append(name)
+    return NonexistenceReport(klass, sum(counts.values()), counts,
+                              tuple(counterexamples), witnesses)
 
 
 @dataclass(frozen=True)

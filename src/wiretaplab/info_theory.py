@@ -82,6 +82,8 @@ class JointDistribution:
             if len(key) != len(variables):
                 raise ValueError(f"key {key} has wrong arity")
             for v, (name, size) in zip(key, variables):
+                if not isinstance(v, int):
+                    raise ValueError(f"value {v!r} of {name} is not an int")
                 if not 0 <= v < size:
                     raise ValueError(f"value {v} outside alphabet of {name}")
             if not isinstance(w, int):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
@@ -234,36 +235,52 @@ def check_correctness(code: OneHopCode) -> bool:
     return True
 
 
-def enumerate_onehop_codes(d: int = 2) -> Iterator[OneHopCode]:
-    """Every correct single-scramble, no-relay-randomness code over Z_2.
+def enumerate_code_tables(d: int = 2) -> Iterator[tuple[str, EncoderTable, RelayTable, tuple]]:
+    """Every correct single-scramble, no-relay-randomness code over Z_2, as tables.
+
+    Yields (name, encoder, relay, columns) without building a OneHopCode;
+    enumerate_onehop_codes builds its codes from these.  columns is
+    (M, Y1, Y2, Y3, Y4) over the encoder inputs (m, l) in lexicographic
+    order.  The encoder and relay tables are shared by every code that
+    uses them: do not modify them.
 
     Encoder and relay tables are numbered in lexicographic order (256
     each), and codes come out in (encoder, relay) order.  The relay sees
     only (Y1, Y2), so an encoder that gives two messages the same pair
     has no correct relay and is skipped (172 of the 256); each of the 84
     others is paired with all 256 relay tables.  A pair is correct when
-    the message is a function of (Y3, Y4), in which case the decoder is
-    read off the support (unreachable pairs decode to 0).  Spaces for
-    d > 2 are out of reach and rejected.
+    the message is a function of (Y3, Y4).  Spaces for d > 2 are out of
+    reach and rejected.
     """
     if d != 2:
         raise ValueError("enumeration is only supported for d=2")
     atoms = list(product(range(2), repeat=2))     # (m, l)
-    messages = [m for m, _ in atoms]
+    messages = tuple(m for m, _ in atoms)
     pairs = list(product(range(2), repeat=2))
     relays = [dict(zip(pairs, rel_out)) for rel_out in product(pairs, repeat=4)]
-    for ei, enc_out in enumerate(product(pairs, repeat=4)):
-        if not _determines(messages, enc_out):
+    for ei, first in enumerate(product(pairs, repeat=4)):
+        if not _determines(messages, first):
             continue
-        encoder = {atom: (out,) for atom, out in zip(atoms, enc_out)}
+        encoder = {atom: (out,) for atom, out in zip(atoms, first)}
+        head = (messages, *zip(*first))
+        relay_of = itemgetter(*first)
         for ri, relay in enumerate(relays):
-            y34 = [relay[y12] for y12 in enc_out]
-            if not _determines(messages, y34):
-                continue
-            support = dict(zip(y34, messages))
-            decoder = {k: support.get(k, 0) for k in pairs}
-            yield OneHopCode(2, 1, 1, False, encoder, relay, decoder,
-                             name=f"enum-e{ei:03d}-r{ri:03d}")
+            second = relay_of(relay)
+            if _determines(messages, second):
+                yield f"enum-e{ei:03d}-r{ri:03d}", encoder, relay, (*head, *zip(*second))
+
+
+def enumerate_onehop_codes(d: int = 2) -> Iterator[OneHopCode]:
+    """Every correct single-scramble, no-relay-randomness code over Z_2.
+
+    The codes of enumerate_code_tables, in its order and under its
+    names.  The decoder is read off the support, unreachable pairs
+    decoding to 0.
+    """
+    for name, encoder, relay, (messages, _, _, y3, y4) in enumerate_code_tables(d):
+        support = dict(zip(zip(y3, y4), messages))
+        decoder = {k: support.get(k, 0) for k in relay}
+        yield OneHopCode(2, 1, 1, False, encoder, relay, decoder, name=name)
 
 
 _FLIPS = ((0, 1), (1, 0))  # identity and complement on Z_2

@@ -25,6 +25,7 @@ from wiretaplab.attack_engine import (
     classify,
     code_is_affine,
     enumerate_attacks,
+    exhaustive_nonexistence_check,
     exhaustive_scalar_linear_check,
     linear_active_reduction_check,
     simulate_attack,
@@ -246,6 +247,11 @@ def assert_slice_terms_match_the_oracle(code):
 
 
 class TestEnumerateAttacks:
+    @pytest.mark.parametrize("klass, active, adaptive", [
+        (DP, False, False), (AP, False, True), (DA, True, False), (AA, True, True)])
+    def test_class_flags(self, klass, active, adaptive):
+        assert (klass.is_active, klass.is_adaptive) == (active, adaptive)
+
     def test_deterministic_passive_count(self):
         assert len(enumerate_attacks(2, DP)) == 4
 
@@ -871,6 +877,57 @@ class TestScalarLinearSweep:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             exhaustive_scalar_linear_check(6)
+
+
+def literal_nonexistence_report(codes, klass):
+    """(total, level counts, counterexamples, witness JSON per name) code by code.
+
+    The report exhaustive_nonexistence_check must give, built by
+    classifying each enumerated code.
+    """
+    counts = dict.fromkeys(SecurityLevel, 0)
+    counterexamples, witnesses = [], []
+    for code in codes:
+        verdict = classify(code, klass)
+        counts[verdict.level] += 1
+        if verdict.level is SecurityLevel.INSECURE:
+            witnesses.append((code.name, verdict.witness.to_json_dict()))
+        else:
+            counterexamples.append(code.name)
+    return len(codes), counts, tuple(counterexamples), witnesses
+
+
+class TestNonexistenceSweep:
+    @pytest.mark.parametrize("klass", [DP, AP])
+    def test_matches_classify_on_every_enumerated_code(self, d2_codes, klass):
+        report = exhaustive_nonexistence_check(2, klass)
+        total, counts, counterexamples, witnesses = literal_nonexistence_report(d2_codes, klass)
+        assert report.klass is klass
+        assert report.total_codes == total
+        assert report.level_counts == counts
+        assert report.counterexamples == counterexamples
+        assert [(name, w.to_json_dict()) for name, w in report.witnesses.items()] == witnesses
+
+    def test_names_are_the_enumeration_names(self, d2_codes):
+        names = [code.name for code in d2_codes]
+        # every code is insecure under adaptive-passive taps, so every name
+        # has a witness, in enumeration order
+        assert list(exhaustive_nonexistence_check(2, AP).witnesses) == names
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
+            "169f87fa81c7ca0d2a5c2947eb24126fafe928c3c886602967fc01d2425e73ab"
+        report = exhaustive_nonexistence_check(2, DP)
+        # zero-padded indices: enumeration order is name order
+        assert sorted(report.counterexamples + tuple(report.witnesses)) == names
+        assert len(report.counterexamples) == 128
+
+    @pytest.mark.parametrize("klass", [DA, AA])
+    def test_active_classes_refused(self, klass):
+        with pytest.raises(ValueError, match="deterministic-passive and adaptive-passive"):
+            exhaustive_nonexistence_check(2, klass)
+
+    def test_d3_refused(self):
+        with pytest.raises(ValueError, match="d=2"):
+            exhaustive_nonexistence_check(3, AP)
 
 
 class TestOffsetsRenameSymbols:

@@ -103,6 +103,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(message)):
             JointDistribution.from_weights((("A", 2), ("B", 2)), weights)
 
+    @pytest.mark.parametrize("value", [0.5, 1.0])
+    def test_non_int_key_values_refused(self, value):
+        # 1.0 equals 1 and hashes like it, so it must not hide behind a 1
+        # earlier in the same column
+        variables = (("A", 2), ("B", 2))
+        message = re.escape(f"value {value!r} of A is not an int")
+        with pytest.raises(ValueError, match=message):
+            JointDistribution.from_weights(variables, {(1, 0): 1, (value, 1): 1})
+        with pytest.raises(ValueError, match=message):
+            JointDistribution(variables, {(1, 0): Fraction(1, 2), (value, 1): Fraction(1, 2)})
+
     def test_int_like_weights_and_values_accepted(self):
         # bools are ints, as keys and as weights
         d = JointDistribution.from_weights((("A", 2),), {(False,): True, (1,): 2})

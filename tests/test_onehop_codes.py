@@ -17,6 +17,7 @@ from wiretaplab.onehop_codes import (
     OneHopCode,
     anti_latin_code,
     check_correctness,
+    enumerate_code_tables,
     enumerate_onehop_codes,
     is_equivalent_to_standard,
     scalar_linear_code,
@@ -213,9 +214,23 @@ class TestEnumeration:
         # the encoders that give two messages one (Y1, Y2)
         assert without == 172
 
+    def test_tables_are_those_of_the_codes(self, codes):
+        tables = list(enumerate_code_tables(2))
+        assert [name for name, *_ in tables] == [code.name for code in codes]
+        # the distinct column tuples the nonexistence sweep decides
+        assert len({columns for *_, columns in tables}) == 3888
+        for (_, encoder, relay, columns), code in zip(tables, codes):
+            assert encoder == code.encoder
+            assert relay == code.relay
+            rows = [(atom[0], *first, *y34) for atom in code.encoder_inputs()
+                    for first, y34, _ in [code.transmit(atom[0], atom[1:])]]
+            assert columns == tuple(zip(*rows))
+
     def test_d3_rejected(self):
         with pytest.raises(ValueError):
             next(enumerate_onehop_codes(3))
+        with pytest.raises(ValueError):
+            next(enumerate_code_tables(3))
 
 
 class TestEquivalence:
