@@ -9,9 +9,11 @@ pairwise disjoint, which this module decides exactly.
 Every search decides pairs through one predicate, the equality-pattern
 mask of `conflict_mask`: one bit per constrained cell pair, set where
 the square repeats a value, so that two squares are compatible iff
-their masks are disjoint.  The Xi-set `is_decodable_pair` and the
-direct `is_one_to_one_pair` are kept as the independent reference that
-re-checks every certificate.
+their masks are disjoint.  The exact searches walk the catalog as
+tuples of row numbers, read each mask off per-row tables and build
+squares only for what they return.  The Xi-set `is_decodable_pair` and
+the direct `is_one_to_one_pair` are kept as the independent reference
+that re-checks every certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetError
 
@@ -143,20 +145,58 @@ def is_one_to_one_pair(a: AntiLatinSquare, b: AntiLatinSquare) -> bool:
 # ---------------------------------------------------------------------------
 # catalog enumeration and canonical representatives
 
+@lru_cache(maxsize=None)
+def _repeating_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """Rows over Z_d that repeat a value, lexicographic; squares index them by number."""
+    return tuple(row for row in product(range(d), repeat=d) if len(set(row)) < d)
+
+
+def _catalog(d: int) -> Iterator[tuple[int, ...]]:
+    """Row-number tuples of the d x d anti-Latin squares, lexicographic (d >= 1).
+
+    The first d - 1 rows range over every tuple of repeating rows.  Each
+    column the prefix does not yet repeat must take one of the prefix's
+    values in the last row, so the allowed last rows are the AND over
+    those columns of the OR of the masks "rows with value v in column j".
+    """
+    rows = _repeating_rows(d)
+    with_value = [[0] * d for _ in range(d)]
+    for r, row in enumerate(rows):
+        for j, v in enumerate(row):
+            with_value[j][v] |= 1 << r
+    for prefix in product(range(len(rows)), repeat=d - 1):
+        allowed = (1 << len(rows)) - 1
+        for j, column in enumerate(zip(*(rows[r] for r in prefix))):
+            if len(set(column)) == d - 1:
+                reach = 0
+                for v in column:
+                    reach |= with_value[j][v]
+                allowed &= reach
+        while allowed:
+            last = allowed & -allowed
+            allowed ^= last
+            yield prefix + (last.bit_length() - 1,)
+
+
+def _square(numbers: Sequence[int]) -> AntiLatinSquare:
+    """The validated square whose rows are the repeating rows of these numbers."""
+    rows = _repeating_rows(len(numbers))
+    return AntiLatinSquare(len(numbers), tuple(rows[r] for r in numbers))
+
+
 def enumerate_anti_latin(d: int) -> list[AntiLatinSquare]:
     """All d x d anti-Latin squares in lexicographic order (d <= 3).
 
-    Tables are built from rows that repeat a value, taken in
-    lexicographic order, so the tables come in lexicographic order too;
-    those whose columns all repeat a value are kept.
+    The squares are those of the row-number walk `_catalog`, each
+    built and validated.
     """
     if d > 3:
         raise BudgetError(f"full enumeration of {d}^{d * d} tables is out of reach")
     if d < 0:
         return []  # d * d > 0 cells over the empty range(d): no table
-    repeating = [row for row in product(range(d), repeat=d) if len(set(row)) < d]
-    return [AntiLatinSquare.from_rows(rows) for rows in product(repeating, repeat=d)
-            if all(len(set(column)) < d for column in zip(*rows))]
+    if d == 0:
+        raise ValueError("empty table")  # the one 0 x 0 table, as is_anti_latin says
+    return [_square(numbers) for numbers in _catalog(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +233,57 @@ def conflict_mask(square: AntiLatinSquare, mode: str) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _row_tables(d: int, mode: str) -> tuple[tuple, tuple]:
+    """Conflict-mask bits by row number: within[i][r] and (i, i', cross[r][r']).
+
+    within[i][r] holds the bits of the constrained cell pairs inside row
+    i when it is repeating row r; cross[r][r'] those with one cell in
+    row i and one in row i' > i when they are rows r and r'.
+    """
+    rows = _repeating_rows(d)
+    within = [[0] * len(rows) for _ in range(d)]
+    cross = {pair: [[0] * len(rows) for _ in rows] for pair in combinations(range(d), 2)}
+    for bit, (c1, c2) in enumerate(_constrained_pairs(d, mode)):
+        (i, j), (i2, j2) = divmod(c1, d), divmod(c2, d)
+        for r, row in enumerate(rows):
+            if i == i2:
+                within[i][r] |= (row[j] == row[j2]) << bit
+                continue
+            for r2, row2 in enumerate(rows):
+                cross[i, i2][r][r2] |= (row[j] == row2[j2]) << bit
+    return (tuple(map(tuple, within)),
+            tuple((i, i2, tuple(map(tuple, t))) for (i, i2), t in cross.items()))
+
+
+def _table_masks(catalog: Sequence[tuple[int, ...]], d: int, mode: str) -> list[int]:
+    """`conflict_mask` of each row-number tuple: the OR of d + C(d, 2) lookups."""
+    within, cross = _row_tables(d, mode)
+    masks = []
+    for numbers in catalog:
+        mask = 0
+        for table, r in zip(within, numbers):
+            mask |= table[r]
+        for i, i2, table in cross:
+            mask |= table[numbers[i]][numbers[i2]]
+        masks.append(mask)
+    return masks
+
+
 def _conflict_masks(squares: Sequence[AntiLatinSquare], d: int,
                     mode: str) -> list[int]:
     _constrained_pairs(d, mode)  # validates the mode name
     if any(sq.d != d for sq in squares):
         raise ValueError(f"every square must be {d} x {d}")
     return [conflict_mask(sq, mode) for sq in squares]
+
+
+def _first_per_mask(masks: Sequence[int]) -> list[int]:
+    """The index of each mask's first occurrence, in increasing order."""
+    first: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        first.setdefault(mask, i)
+    return list(first.values())
 
 
 def canonical_representatives(catalog: Sequence[AntiLatinSquare],
@@ -211,13 +296,8 @@ def canonical_representatives(catalog: Sequence[AntiLatinSquare],
     one-to-one conflict mask: it is the square's equality pattern, which
     two squares share iff a value relabeling maps one onto the other.
     """
-    seen: set[int] = set()
-    reps = []
-    for sq, mask in zip(catalog, _conflict_masks(catalog, d, "one-to-one")):
-        if mask not in seen:
-            seen.add(mask)
-            reps.append(sq)
-    return reps
+    masks = _conflict_masks(catalog, d, "one-to-one")
+    return [catalog[i] for i in _first_per_mask(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +337,32 @@ def find_decodable_pair(d: int,
          the relabeling invariance of decodability).
     d>=4: seeded randomized hill-climb; budget exhaustion is reported as
          found=False with proven_empty=False.
+    The exhaustive cases walk row-number tuples and their table masks
+    and return the first compatible pair in row-major order, `examined`
+    counting the ordered pairs up to it; only that pair is built as
+    squares.  A negative budget raises ValueError.
     """
+    _check_search_args(d, budget)
+    if d <= 3:
+        catalog = list(_catalog(d))
+        if d == 3:
+            masks = _table_masks(catalog, d, "one-to-one")
+            catalog = [catalog[i] for i in _first_per_mask(masks)]
+        n = len(catalog)
+        for i, partners in enumerate(_adjacency(_table_masks(catalog, d, "decodable"))):
+            if partners:
+                j = (partners & -partners).bit_length() - 1
+                pair = (_square(catalog[i]), _square(catalog[j]))
+                return PairSearchResult(True, pair, False, "exhaustive", i * n + j + 1)
+        return PairSearchResult(False, None, True, "exhaustive", n * n)
+    return _hill_climb_pair(d, seed, budget)
+
+
+def _check_search_args(d: int, budget: int) -> None:
     if d < 2:
         raise ValueError("d must be >= 2")
-    if d <= 3:
-        catalog = enumerate_anti_latin(d)
-        squares = catalog if d == 2 else canonical_representatives(catalog, d)
-        masks = _conflict_masks(squares, d, "decodable")
-        examined = 0
-        for a, mask_a in zip(squares, masks):
-            for b, mask_b in zip(squares, masks):
-                examined += 1
-                if not mask_a & mask_b:
-                    return PairSearchResult(True, (a, b), False, "exhaustive", examined)
-        return PairSearchResult(False, None, True, "exhaustive", examined)
-    return _hill_climb_pair(d, seed, budget)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
 
 def _diagonal_index(d: int) -> tuple[int, ...]:
@@ -401,24 +492,37 @@ def _max_clique(adj: list[int], n: int) -> list[int]:
 
 def compatibility_graph(catalog: Sequence[AntiLatinSquare],
                         d: int, mode: str) -> list[int]:
-    """Bitmask adjacency over the catalog: i ~ j iff their conflict masks are disjoint.
+    """Bitmask adjacency over the catalog: i ~ j iff their conflict masks are disjoint."""
+    return _adjacency(_conflict_masks(catalog, d, mode))
 
-    Squares with the same mask have the same neighbours, so each pair of
-    distinct masks is tested once and the result is spread over the
-    catalog indices of both classes.  No mask is 0, so no square is
-    adjacent to itself or to another square of its class.
+
+def _adjacency(masks: Sequence[int]) -> list[int]:
+    """Bitmask adjacency over nonzero masks: i ~ j iff masks[i] & masks[j] == 0.
+
+    The masks are transposed: the holders of a bit are the indices whose
+    mask has it.  An index's partners are everyone outside the union of
+    the holders of its own bits, which holds the index itself, since its
+    mask is not 0.  Equal masks share that union, so it is taken once
+    per distinct mask.
     """
-    masks = _conflict_masks(catalog, d, mode)
     members: dict[int, int] = {}
     for i, mask in enumerate(masks):
         members[mask] = members.get(mask, 0) | 1 << i
-    distinct = list(members)
-    partners = dict.fromkeys(distinct, 0)
-    for k, mask in enumerate(distinct):
-        for other in distinct[k + 1:]:
-            if not mask & other:
-                partners[mask] |= members[other]
-                partners[other] |= members[mask]
+    holders: dict[int, int] = {}
+    for mask, group in members.items():
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            holders[bit] = holders.get(bit, 0) | group
+    everyone = (1 << len(masks)) - 1
+    partners = {}
+    for mask in members:
+        clash, rest = 0, mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            clash |= holders[bit]
+        partners[mask] = everyone & ~clash
     return [partners[mask] for mask in masks]
 
 
@@ -431,21 +535,23 @@ def max_mutual_set(d: int,
 
     mode "decodable" targets A(d), "one-to-one" targets B(d); singleton
     sets satisfy the pairwise condition vacuously, so results are >= 1.
-    The exact method (d <= 3 only) enumerates the full catalog, builds
-    the compatibility graph, and solves maximum clique to optimality.
+    The exact method (d <= 3 only) walks the catalog as row-number
+    tuples, builds the compatibility graph from their table masks, and
+    solves maximum clique to optimality; only the clique's squares are
+    built.
     The heuristic method reports a certified lower bound.  Both certify
-    the set with the reference pair predicate.
+    the set with the reference pair predicate.  A negative budget raises
+    ValueError, whatever the method.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_search_args(d, budget)
     predicate = _pair_predicate(mode)
     if method == "exact":
         if d > 3:
             raise BudgetError("exact mode is limited to d <= 3")
-        catalog = enumerate_anti_latin(d)
-        adj = compatibility_graph(catalog, d, mode)
+        catalog = list(_catalog(d))
+        adj = _adjacency(_table_masks(catalog, d, mode))
         clique = _max_clique(adj, len(catalog))
-        squares = tuple(catalog[i] for i in sorted(clique))
+        squares = tuple(_square(catalog[i]) for i in sorted(clique))
         _validate_certificate(squares, predicate)
         return MaxSetResult(len(squares), squares, mode, "exact", True)
     if method != "heuristic":

@@ -6,7 +6,10 @@ import pytest
 from wiretaplab.anti_latin import (
     AntiLatinSquare,
     MaxSetResult,
+    _adjacency,
+    _catalog,
     _max_clique,
+    _table_masks,
     canonical_representatives,
     compatibility_graph,
     conflict_mask,
@@ -210,6 +213,26 @@ class TestConflictMask:
             edges += expected
         assert edges > 0
 
+    @pytest.mark.parametrize("mode", ["decodable", "one-to-one"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_table_walk_matches_the_square_reference(self, d, mode, d3_catalog):
+        # the row-number walk and its table masks against the built
+        # squares, their per-square masks and their compatibility graph
+        catalog = d3_catalog if d == 3 else enumerate_anti_latin(d)
+        numbers = list(_catalog(d))
+        masks = _table_masks(numbers, d, mode)
+        assert masks == [conflict_mask(sq, mode) for sq in catalog]
+        assert _adjacency(masks) == compatibility_graph(catalog, d, mode)
+
+    def test_adjacency_is_pairwise_disjointness(self):
+        # oracle: every ordered pair of a small mask list with repeats
+        rng = random.Random(606)
+        for _ in range(30):
+            masks = [rng.randrange(1, 64) for _ in range(rng.randint(1, 25))]
+            adj = _adjacency(masks)
+            for i, j in product(range(len(masks)), repeat=2):
+                assert adj[i] >> j & 1 == (not masks[i] & masks[j])
+
     def test_graph_has_no_self_loops(self, d3_decodable_adj, d3_one_to_one_adj):
         for adj in (d3_decodable_adj, d3_one_to_one_adj):
             assert all(not row >> i & 1 for i, row in enumerate(adj))
@@ -293,6 +316,16 @@ class TestFindDecodablePair:
         assert result.found and not result.proven_empty
         assert result.method == "exhaustive"
         assert is_decodable_pair(*result.pair)
+        # frozen from the square-by-square pair loop: the first compatible
+        # pair of representatives in row-major order
+        assert [sq.rows for sq in result.pair] == [
+            ((0, 0, 1), (0, 0, 1), (1, 1, 0)), ((0, 1, 0), (2, 0, 2), (2, 0, 0))]
+        assert result.examined == 97637
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_negative_budget_rejected(self, d):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            find_decodable_pair(d, budget=-1)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_hill_climb_finds_pairs(self, d):
@@ -367,6 +400,24 @@ class TestMaxMutualSet:
         assert result.size >= 1
         for a, b in combinations(result.squares, 2):
             assert is_decodable_pair(a, b)
+
+    @pytest.mark.parametrize("mode, certificate", [
+        ("decodable", [((2, 1, 1), (2, 2, 1), (1, 2, 2)),
+                       ((2, 1, 2), (1, 2, 1), (1, 1, 2)),
+                       ((2, 2, 1), (1, 2, 2), (2, 1, 2))]),
+        ("one-to-one", [((2, 1, 1), (2, 2, 0), (0, 1, 0)),
+                        ((2, 1, 2), (0, 1, 1), (0, 0, 2)),
+                        ((2, 2, 1), (1, 0, 1), (2, 0, 0))]),
+    ])
+    def test_d3_exact_certificates_frozen(self, mode, certificate):
+        # frozen from the clique search over the square-built graph
+        result = max_mutual_set(3, mode, "exact")
+        assert [sq.rows for sq in result.squares] == certificate
+
+    @pytest.mark.parametrize("d, method", [(3, "exact"), (4, "heuristic")])
+    def test_negative_budget_rejected(self, d, method):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            max_mutual_set(d, "decodable", method, budget=-5)
 
     def test_exact_rejected_above_d3(self):
         with pytest.raises(BudgetError):

@@ -181,6 +181,18 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("antilatin", "find", "--d", "4"),
+        ("antilatin", "maxset", "--d", "4", "--method", "heuristic"),
+    ])
+    def test_negative_budget_is_2_and_zero_budget_is_3(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--budget", "-1")
+        assert code == 2
+        assert "budget must be >= 0" in err
+        code, _, err = run(capsys, *argv, "--budget", "0")
+        assert code == 3
+        assert "budget exhausted" in err
+
     def test_two_shot_active_budget_is_3(self, capsys):
         code, _, err = run(capsys, "classify", "--family", "vector-linear",
                            "--d", "7", "--class", "adaptive-active")
