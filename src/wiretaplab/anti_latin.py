@@ -278,17 +278,9 @@ def _conflict_masks(squares: Sequence[AntiLatinSquare], d: int,
     return [conflict_mask(sq, mode) for sq in squares]
 
 
-def _first_per_mask(masks: Sequence[int]) -> list[int]:
-    """The index of each mask's first occurrence, in increasing order."""
-    first: dict[int, int] = {}
-    for i, mask in enumerate(masks):
-        first.setdefault(mask, i)
-    return list(first.values())
-
-
-def canonical_representatives(catalog: Sequence[AntiLatinSquare],
-                              d: int) -> list[AntiLatinSquare]:
-    """One square per value-relabeling orbit, keeping catalog order.
+def _relabeling_representatives(catalog: Sequence[tuple[int, ...]],
+                                 d: int) -> list[tuple[int, ...]]:
+    """One row-number tuple per value-relabeling orbit, keeping catalog order.
 
     Both the anti-Latin property and pair decodability are invariant
     under independent value relabelings of each square, so existence
@@ -296,8 +288,10 @@ def canonical_representatives(catalog: Sequence[AntiLatinSquare],
     one-to-one conflict mask: it is the square's equality pattern, which
     two squares share iff a value relabeling maps one onto the other.
     """
-    masks = _conflict_masks(catalog, d, "one-to-one")
-    return [catalog[i] for i in _first_per_mask(masks)]
+    first: dict[int, tuple[int, ...]] = {}
+    for numbers, mask in zip(catalog, _table_masks(catalog, d, "one-to-one")):
+        first.setdefault(mask, numbers)
+    return list(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +340,7 @@ def find_decodable_pair(d: int,
     if d <= 3:
         catalog = list(_catalog(d))
         if d == 3:
-            masks = _table_masks(catalog, d, "one-to-one")
-            catalog = [catalog[i] for i in _first_per_mask(masks)]
+            catalog = _relabeling_representatives(catalog, d)
         n = len(catalog)
         for i, partners in enumerate(_adjacency(_table_masks(catalog, d, "decodable"))):
             if partners:

@@ -184,16 +184,14 @@ def enumerate_attacks(d: int, klass: AttackClass,
     (simulate_attack per strategy) that tests hold classify against;
     classify itself never materializes it.
     """
-    if klass.is_active and d > _ACTIVE_MAP_CAP_D:
-        raise BudgetError(f"active modification space d^d is out of budget "
-                          f"for d > {_ACTIVE_MAP_CAP_D}")
     views = d ** shots
-    mods = list(product(range(d), repeat=d)) if klass.is_active else [_identity(d)]
-    total = 2 * len(mods) * (2 ** views if klass.is_adaptive else 2)
+    maps = d ** d if klass.is_active else 1
+    total = 2 * maps * (2 ** views if klass.is_adaptive else 2)
     if total > _ENUMERATION_CAP:
         raise BudgetError(
             f"{total} strategies exceed the enumeration budget; "
             "classification handles these spaces without materializing them")
+    mods = list(product(range(d), repeat=d)) if klass.is_active else [_identity(d)]
     selectors = (list(product((3, 4), repeat=views)) if klass.is_adaptive
                  else [(3,) * views, (4,) * views])
     return [AttackStrategy(d, shots, klass, first_edge, mod, selector)
@@ -740,15 +738,13 @@ def classification_table(d_list: Sequence[int]) -> ClassificationTable:
     non-linear code at d=2, an anti-Latin code for d>2, and the two-shot
     vector-linear code.  Columns map to deterministic-passive,
     deterministic-active, and adaptive-active attacks.  Every d is
-    checked before the first row: ValueError for d < 2, BudgetError for
-    d > 6, where the two-shot map enumeration stops.
+    checked before the first row: ValueError for d < 2, BudgetError
+    where check_classify_budget refuses the two-shot vector-linear row.
     """
     for d in d_list:
         if d < 2:
             raise ValueError(f"alphabet size d must be >= 2, got {d}")
-        if d > _ACTIVE_MAP_CAP_D:
-            raise BudgetError(f"two-shot active rows enumerate d^d maps; "
-                              f"out of budget for d > {_ACTIVE_MAP_CAP_D}")
+        check_classify_budget(d, 2, d ** 4, AttackClass.ADAPTIVE_ACTIVE)
     rows = []
     for d in d_list:
         rows.append(TableRow("scalar-linear", d, _scalar_linear_row(d)))

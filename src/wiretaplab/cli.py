@@ -55,8 +55,12 @@ def _parse_class(name: str) -> ae.AttackClass:
     return ae.AttackClass.from_name(name)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+def _emit(args, payload: dict, text: str) -> None:
+    """Print the schema-tagged JSON line of payload, or text as it is."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+    else:
+        print(text, end="")
 
 
 def _read_file(path: Optional[str], flag: str) -> str:
@@ -80,295 +84,253 @@ def _load_network(spec: str) -> nc.WiretapNetwork:
         raise
 
 
+# --family name -> (shots, atoms as a power of d, builder(d, seed)).  A
+# builder looks its constructor up in this module when it runs, so a
+# wrapper put on that name here sees the call.
+_FAMILIES = {
+    "scalar-linear": (1, 3, lambda d, seed: scalar_linear_code(d)),
+    "scalar-linear-norand":
+        (1, 2, lambda d, seed: scalar_linear_code(d, relay_randomness=False)),
+    "standard": (1, 2, lambda d, seed: standard_nonlinear_code(d)),
+    "anti-latin": (1, 2, lambda d, seed: anti_latin_code(*ae.anti_latin_pair(d, seed))),
+    "vector-linear": (2, 4, lambda d, seed: vector_linear_code(d)),
+}
+
+
 def _family_shape(family: str, d: int) -> tuple[int, int]:
     """(shots, atoms) of the family's code over Z_d, known before it is built."""
-    if family == "vector-linear":
-        return 2, d ** 4
-    return 1, d ** 3 if family == "scalar-linear" else d ** 2
+    shots, exponent, _ = _FAMILIES[family]
+    return shots, d ** exponent
 
 
 def _build_family_code(family: str, d: int, seed: int):
-    if family == "scalar-linear":
-        return scalar_linear_code(d)
-    if family == "scalar-linear-norand":
-        return scalar_linear_code(d, relay_randomness=False)
-    if family == "standard":
-        return standard_nonlinear_code(d)
-    if family == "vector-linear":
-        return vector_linear_code(d)
-    if family == "anti-latin":
-        return anti_latin_code(*ae.anti_latin_pair(d, seed))
-    raise ValueError(f"unknown code family {family!r}")
+    return _FAMILIES[family][2](d, seed)
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 def cmd_classify(args) -> int:
-    if args.selftest:
-        return _selftest_classify()
     if args.table:
-        d_list = [int(tok) for tok in args.d.split(",")]
-        table = ae.classification_table(d_list)
-        if args.format == "json":
-            _emit_json({"table": table.to_json_dict()})
-        elif args.format == "csv":
+        for flag, value in (("--family", args.family), ("--class", args.klass)):
+            if value is not None:
+                raise ValueError(f"--table takes no {flag}")
+        table = ae.classification_table([int(tok) for tok in args.d.split(",")])
+        if args.format == "csv":
             print(table.to_csv(), end="")
         else:
-            print(table.to_text(), end="")
-        if args.expect_table1:
-            mismatches = ae.table_mismatches(table)
-            if mismatches:
-                for line in mismatches:
-                    print(f"MISMATCH {line}", file=sys.stderr)
-                return 1
-        return 0
+            _emit(args, {"table": table.to_json_dict()}, table.to_text())
+        mismatches = ae.table_mismatches(table) if args.expect_table1 else []
+        for line in mismatches:
+            print(f"MISMATCH {line}", file=sys.stderr)
+        return 1 if mismatches else 0
+    for flag, given in (("--format csv", args.format == "csv"),
+                        ("--expect-table1", args.expect_table1)):
+        if given:
+            raise ValueError(f"{flag} needs --table")
     if not args.family or not args.klass:
         raise ValueError("classify needs --family and --class (or --table)")
     d = int(args.d)
     klass = _parse_class(args.klass)
     if d >= 2:  # smaller d is refused where the code is built
         ae.check_classify_budget(d, *_family_shape(args.family, d), klass)
-    code = _build_family_code(args.family, d, args.seed)
-    verdict = ae.classify(code, klass)
-    if args.format == "json":
-        _emit_json({"verdict": verdict.to_json_dict()})
-    else:
-        print(f"{verdict.code_id} vs {verdict.klass.value}: {verdict.level.value}")
-        print(f"max leakage: {verdict.max_leakage_bits:.6f} bits")
-        print(f"witness: {json.dumps(verdict.witness.to_json_dict(), sort_keys=True)}")
+    verdict = ae.classify(_build_family_code(args.family, d, args.seed), klass)
+    payload = verdict.to_json_dict()
+    _emit(args, {"verdict": payload},
+          f"{verdict.code_id} vs {verdict.klass.value}: {verdict.level.value}\n"
+          f"max leakage: {verdict.max_leakage_bits:.6f} bits\n"
+          f"witness: {json.dumps(payload['witness'], sort_keys=True)}\n")
     return 0
 
 
-def _selftest_classify() -> int:
-    ok = True
+def _selftest_classify():
     code = scalar_linear_code(2)
-    first, y34, decoded = code.transmit(1, (0,), 1)
-    ok &= _report("scalar transcript", (first, y34, decoded) == ((0, 1), (1, 0), 1))
+    yield "scalar transcript", code.transmit(1, (0,), 1) == ((0, 1), (1, 0), 1)
     std = standard_nonlinear_code(3)
-    ok &= _report("standard zero-scramble", std.transmit(1, (0,))[1] == (0, 1))
-    ok &= _report("built-ins correct", all(
-        check_correctness(c) for c in (code, std, vector_linear_code(2))))
-    return 0 if ok else 1
-
-
-def _report(name: str, passed: bool) -> bool:
-    print(f"selftest {name}: {'ok' if passed else 'FAIL'}")
-    return passed
+    yield "standard zero-scramble", std.transmit(1, (0,))[1] == (0, 1)
+    yield "built-ins correct", all(
+        check_correctness(c) for c in (code, std, vector_linear_code(2)))
 
 
 # ---------------------------------------------------------------------------
 # antilatin
 
 def cmd_antilatin_verify(args) -> int:
-    if args.selftest:
-        ok = _report("constant matrix", al.is_anti_latin([[0, 0], [0, 0]]))
-        ok &= _report("latin square rejected",
-                      not al.is_anti_latin([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
-        return 0 if ok else 1
     rows = [[int(t) for t in line.split()]
             for line in _read_file(args.file, "--file").strip().splitlines()
             if line.strip()]
     result = al.is_anti_latin(rows)
-    if args.format == "json":
-        _emit_json({"anti_latin": result})
-    else:
-        print("anti-Latin" if result else "not anti-Latin")
+    _emit(args, {"anti_latin": result},
+          "anti-Latin\n" if result else "not anti-Latin\n")
     return 0
+
+
+def _selftest_antilatin_verify():
+    yield "constant matrix", al.is_anti_latin([[0, 0], [0, 0]])
+    yield "latin square rejected", not al.is_anti_latin([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def cmd_antilatin_xi(args) -> int:
-    if args.selftest:
-        a = al.AntiLatinSquare.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-        b = al.reference_decodable_pair(3)[1]
-        xs = al.xi_set(a, b, 0, 0)
-        ok = _report("diagonal xi set",
-                     xs.members == frozenset(b.entry(l, l) for l in range(3)))
-        ok &= _report("empty xi set", al.xi_set(a, b, 1, 0).members == frozenset())
-        return 0 if ok else 1
     a, b = _load_square(args.a, "--a"), _load_square(args.b, "--b")
     xs = al.xi_set(a, b, args.z, args.m)
-    if args.format == "json":
-        _emit_json({"z": xs.z, "m": xs.m, "members": sorted(xs.members)})
-    else:
-        print(f"Xi(z={xs.z}, m={xs.m}) = {{{', '.join(map(str, sorted(xs.members)))}}}")
+    members = sorted(xs.members)
+    _emit(args, {"z": xs.z, "m": xs.m, "members": members},
+          f"Xi(z={xs.z}, m={xs.m}) = {{{', '.join(map(str, members))}}}\n")
     return 0
+
+
+def _selftest_antilatin_xi():
+    a = al.AntiLatinSquare.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    b = al.reference_decodable_pair(3)[1]
+    yield "diagonal xi set", (al.xi_set(a, b, 0, 0).members
+                              == frozenset(b.entry(l, l) for l in range(3)))
+    yield "empty xi set", al.xi_set(a, b, 1, 0).members == frozenset()
 
 
 def cmd_antilatin_pair_check(args) -> int:
-    if args.selftest:
-        pair = al.reference_decodable_pair(3)
-        ok = _report("reference pair one-to-one", al.is_one_to_one_pair(*pair))
-        ok &= _report("reference pair decodable", al.is_decodable_pair(*pair))
-        return 0 if ok else 1
     a, b = _load_square(args.a, "--a"), _load_square(args.b, "--b")
     payload = {"one_to_one": al.is_one_to_one_pair(a, b),
                "decodable": al.is_decodable_pair(a, b)}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"one-to-one: {payload['one_to_one']}")
-        print(f"decodable:  {payload['decodable']}")
+    _emit(args, payload, f"one-to-one: {payload['one_to_one']}\n"
+                         f"decodable:  {payload['decodable']}\n")
     return 0
 
 
+def _selftest_antilatin_pair_check():
+    pair = al.reference_decodable_pair(3)
+    yield "reference pair one-to-one", al.is_one_to_one_pair(*pair)
+    yield "reference pair decodable", al.is_decodable_pair(*pair)
+
+
 def cmd_antilatin_find(args) -> int:
-    if args.selftest:
-        r2 = al.find_decodable_pair(2)
-        ok = _report("d=2 proven not found", not r2.found and r2.proven_empty)
-        return 0 if ok else 1
     result = al.find_decodable_pair(args.d, seed=args.seed, budget=args.budget)
     if result.found:
         a, b = result.pair
-        if args.format == "json":
-            _emit_json({"found": True, "method": result.method,
-                        "examined": result.examined,
-                        "a": [list(r) for r in a.rows],
-                        "b": [list(r) for r in b.rows]})
-        else:
-            print(f"found ({result.method}, {result.examined} candidates)")
-            print(a.to_text(), end="")
-            print("--")
-            print(b.to_text(), end="")
+        _emit(args, {"found": True, "method": result.method,
+                     "examined": result.examined,
+                     "a": [list(r) for r in a.rows],
+                     "b": [list(r) for r in b.rows]},
+              f"found ({result.method}, {result.examined} candidates)\n"
+              f"{a.to_text()}--\n{b.to_text()}")
         return 0
     if result.proven_empty:
-        if args.format == "json":
-            _emit_json({"found": False, "proven_empty": True,
-                        "examined": result.examined})
-        else:
-            print(f"NotFound: no decodable pair exists for d={args.d} "
-                  f"(exhaustive over {result.examined} candidate pairs)")
+        _emit(args, {"found": False, "proven_empty": True,
+                     "examined": result.examined},
+              f"NotFound: no decodable pair exists for d={args.d} "
+              f"(exhaustive over {result.examined} candidate pairs)\n")
         return 0
     print(f"budget exhausted after {result.examined} steps", file=sys.stderr)
     return 3
 
 
+def _selftest_antilatin_find():
+    r2 = al.find_decodable_pair(2)
+    yield "d=2 proven not found", not r2.found and r2.proven_empty
+
+
 def cmd_antilatin_maxset(args) -> int:
-    if args.selftest:
-        r = al.max_mutual_set(2, "decodable", "exact")
-        ok = _report("d=2 singleton", r.size == 1 and r.exact)
-        return 0 if ok else 1
     result = al.max_mutual_set(args.d, args.mode, args.method,
                                seed=args.seed, budget=args.budget)
-    payload = {"d": args.d, "mode": result.mode, "method": result.method,
-               "exact": result.exact, "size": result.size,
-               "squares": [[list(r) for r in sq.rows] for sq in result.squares]}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        kind = "maximum" if result.exact else "lower bound"
-        print(f"{result.mode} mutual set, {kind}: size {result.size}")
-        for sq in result.squares:
-            print(sq.to_text(), end="")
-            print("--")
+    kind = "maximum" if result.exact else "lower bound"
+    _emit(args, {"d": args.d, "mode": result.mode, "method": result.method,
+                 "exact": result.exact, "size": result.size,
+                 "squares": [[list(r) for r in sq.rows] for sq in result.squares]},
+          f"{result.mode} mutual set, {kind}: size {result.size}\n"
+          + "".join(f"{sq.to_text()}--\n" for sq in result.squares))
     return 0
+
+
+def _selftest_antilatin_maxset():
+    r = al.max_mutual_set(2, "decodable", "exact")
+    yield "d=2 singleton", r.size == 1 and r.exact
 
 
 # ---------------------------------------------------------------------------
 # capacity / mincut
 
 def cmd_capacity(args) -> int:
-    if args.selftest:
-        caps = nc.unicast_capacities(nc.LayeredUnicastNetwork((2,), (1,), 2))
-        ok = _report("single-layer formula", caps.c1_bits == 1.0
-                     and caps.c2_bits == 1.0)
-        r0 = nc.rwiretap_capacities(nc.one_hop_network(), 0)
-        ok &= _report("r=0 gives mincut", r0.c2 == 2)
-        return 0 if ok else 1
     if args.layered:
         net = nc.LayeredUnicastNetwork.from_json_dict(json.loads(args.layered))
         caps = nc.unicast_capacities(net)
-        if args.format == "json":
-            _emit_json(caps.to_json_dict())
-        else:
-            print(f"C1 = {caps.c1_bits:.6f} bits/use")
-            print(f"C2 = {caps.c2_bits:.6f} bits/use")
+        _emit(args, caps.to_json_dict(),
+              f"C1 = {caps.c1_bits:.6f} bits/use\nC2 = {caps.c2_bits:.6f} bits/use\n")
         return 0
     if not args.net:
         raise ValueError("capacity needs --layered JSON or --net FILE with --r")
-    net = _load_network(args.net)
-    caps = nc.rwiretap_capacities(net, args.r)
-    if args.format == "json":
-        _emit_json(caps.to_json_dict())
-    else:
-        print(f"mincut1 = {caps.mincut1}, mincut2 = {caps.mincut2}")
-        print(f"C2 = {caps.c2}")
-        print(f"C1 in [{caps.c1_lower}, {caps.c1_upper}]"
-              + (" (collapsed)" if caps.collapsed else ""))
-        if caps.clamped:
-            print("note: r exceeds a cut; capacities clamped at 0")
+    caps = nc.rwiretap_capacities(_load_network(args.net), args.r)
+    collapsed = " (collapsed)" if caps.collapsed else ""
+    note = "note: r exceeds a cut; capacities clamped at 0\n" if caps.clamped else ""
+    _emit(args, caps.to_json_dict(),
+          f"mincut1 = {caps.mincut1}, mincut2 = {caps.mincut2}\nC2 = {caps.c2}\n"
+          f"C1 in [{caps.c1_lower}, {caps.c1_upper}]{collapsed}\n{note}")
     return 0
+
+
+def _selftest_capacity():
+    caps = nc.unicast_capacities(nc.LayeredUnicastNetwork((2,), (1,), 2))
+    yield "single-layer formula", caps.c1_bits == 1.0 and caps.c2_bits == 1.0
+    yield "r=0 gives mincut", nc.rwiretap_capacities(nc.one_hop_network(), 0).c2 == 2
 
 
 def cmd_mincut(args) -> int:
-    if args.selftest:
-        net = nc.one_hop_network()
-        ok = _report("one-hop cuts", nc.mincut1(net) == 2 and nc.mincut2(net) == 2)
-        single = nc.WiretapNetwork.from_text(
-            "node s source message\nnode t terminal\nedge s t\n")
-        ok &= _report("single edge", nc.mincut1(single) == 1)
-        return 0 if ok else 1
     net = _load_network(args.net)
     m1, m2 = nc.mincut1(net), nc.mincut2(net)
-    if args.format == "json":
-        _emit_json({"mincut1": m1, "mincut2": m2,
-                    "pseudo_sources": list(net.pseudo_sources())})
-    else:
-        print(f"mincut1 = {m1}")
-        print(f"mincut2 = {m2}")
+    _emit(args, {"mincut1": m1, "mincut2": m2,
+                 "pseudo_sources": list(net.pseudo_sources())},
+          f"mincut1 = {m1}\nmincut2 = {m2}\n")
     return 0
+
+
+def _selftest_mincut():
+    net = nc.one_hop_network()
+    yield "one-hop cuts", nc.mincut1(net) == 2 and nc.mincut2(net) == 2
+    single = nc.WiretapNetwork.from_text(
+        "node s source message\nnode t terminal\nedge s t\n")
+    yield "single edge", nc.mincut1(single) == 1
 
 
 # ---------------------------------------------------------------------------
 # mds / wiretap2
 
 def cmd_mds_build(args) -> int:
-    if args.selftest:
-        g = build_mds_generator(2, 1, 2)
-        ok = _report("smallest generator", g.entries == (1, 1))
-        return 0 if ok else 1
     matrix = build_mds_generator(args.k, args.r, args.q)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(matrix.to_text())
-    if args.format == "json":
-        _emit_json({"k": args.k, "r": args.r, "q": args.q,
-                    "rows": [list(matrix.row(i)) for i in range(matrix.rows)]})
-    else:
-        print(matrix.to_text(), end="")
+    _emit(args, {"k": args.k, "r": args.r, "q": args.q,
+                 "rows": [list(matrix.row(i)) for i in range(matrix.rows)]},
+          matrix.to_text())
     return 0
 
 
+def _selftest_mds_build():
+    yield "smallest generator", build_mds_generator(2, 1, 2).entries == (1, 1)
+
+
 def cmd_mds_verify(args) -> int:
-    if args.selftest:
-        ok = _report("identity MDS", verify_mds(Matrix.from_rows([[1, 0], [0, 1]], 3)))
-        ok &= _report("equal columns rejected",
-                      not verify_mds(Matrix.from_rows([[1, 1], [2, 2]], 5)))
-        return 0 if ok else 1
-    matrix = Matrix.from_text(_read_file(args.file, "--file"))
-    result = verify_mds(matrix)
-    if args.format == "json":
-        _emit_json({"mds": result})
-    else:
-        print("MDS" if result else "not MDS")
+    result = verify_mds(Matrix.from_text(_read_file(args.file, "--file")))
+    _emit(args, {"mds": result}, "MDS\n" if result else "not MDS\n")
     return 0 if result or not args.expect else 1
 
 
+def _selftest_mds_verify():
+    yield "identity MDS", verify_mds(Matrix.from_rows([[1, 0], [0, 1]], 3))
+    yield "equal columns rejected", not verify_mds(Matrix.from_rows([[1, 1], [2, 2]], 5))
+
+
 def cmd_wiretap2(args) -> int:
-    if args.selftest:
-        report = nc.wiretap2_verify(nc.WiretapIICode.build(2, 0, 2))
-        ok = _report("r=0 invertible map", report.decode_ok and report.all_taps_zero)
-        return 0 if ok else 1
-    code = nc.WiretapIICode.build(args.k, args.r, args.q)
-    report = nc.wiretap2_verify(code)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"(k={report.k}, r={report.r}) over F_{report.q}: "
-              f"decode {'ok' if report.decode_ok else 'FAILED'}, "
-              f"{report.subsets_checked} tap subsets, "
-              f"leakage {'all zero' if report.all_taps_zero else report.max_leakage_bits}")
+    report = nc.wiretap2_verify(nc.WiretapIICode.build(args.k, args.r, args.q))
+    _emit(args, report.to_json_dict(),
+          f"(k={report.k}, r={report.r}) over F_{report.q}: "
+          f"decode {'ok' if report.decode_ok else 'FAILED'}, "
+          f"{report.subsets_checked} tap subsets, "
+          f"leakage {'all zero' if report.all_taps_zero else report.max_leakage_bits}\n")
     return 0 if report.decode_ok and report.all_taps_zero else 1
+
+
+def _selftest_wiretap2():
+    report = nc.wiretap2_verify(nc.WiretapIICode.build(2, 0, 2))
+    yield "r=0 invertible map", report.decode_ok and report.all_taps_zero
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +349,6 @@ _HAN_CELL_CAP = 1 << 26
 
 
 def cmd_han(args) -> int:
-    if args.selftest:
-        dist = JointDistribution.uniform((("Y1", 2), ("Y2", 2)))
-        res = check_han_collection(dist, ("Y1", "Y2"), (), [(0, 1)], 1)
-        ok = _report("single-collection equality", res.holds and res.slack == 0.0)
-        res = check_han_subsets(dist, ("Y1", "Y2"), (), 2)
-        ok &= _report("r=k equality", res.holds and res.slack == 0.0)
-        return 0 if ok else 1
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not 1 <= args.r <= args.k:
@@ -416,21 +371,29 @@ def cmd_han(args) -> int:
             violations += 1
         if min_slack is None or res.slack < min_slack:
             min_slack = res.slack
-    payload = {"k": args.k, "r": args.r, "samples": args.samples,
-               "seed": args.seed, "violations": violations,
-               "min_slack": min_slack}
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"k={args.k} r={args.r}: {args.samples} seeded distributions, "
-              f"{violations} violations, min slack {min_slack:.6g}")
+    _emit(args, {"k": args.k, "r": args.r, "samples": args.samples,
+                 "seed": args.seed, "violations": violations,
+                 "min_slack": min_slack},
+          f"k={args.k} r={args.r}: {args.samples} seeded distributions, "
+          f"{violations} violations, min slack {min_slack:.6g}\n")
     return 0 if violations == 0 else 1
+
+
+def _selftest_han():
+    dist = JointDistribution.uniform((("Y1", 2), ("Y2", 2)))
+    res = check_han_collection(dist, ("Y1", "Y2"), (), [(0, 1)], 1)
+    yield "single-collection equality", res.holds and res.slack == 0.0
+    res = check_han_subsets(dist, ("Y1", "Y2"), (), 2)
+    yield "r=k equality", res.holds and res.slack == 0.0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub, *, fmt=("text", "json"), seed=False, budget=None):
+def _add_common(sub, func, selftest, *, fmt=("text", "json"), seed=False,
+                budget=None):
+    """Add the shared options; register the command and its selftest, a
+    generator of (name, passed) checks."""
     sub.add_argument("--format", choices=fmt, default="text")
     sub.add_argument("--selftest", action="store_true",
                      help="run this command's built-in examples and exit")
@@ -438,6 +401,7 @@ def _add_common(sub, *, fmt=("text", "json"), seed=False, budget=None):
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if budget is not None:
         sub.add_argument("--budget", type=int, default=budget)
+    sub.set_defaults(func=func, selftests=selftest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("classify", help="classify a code family against an attack class")
-    p.add_argument("--family",
-                   choices=["scalar-linear", "scalar-linear-norand", "standard",
-                            "anti-latin", "vector-linear"])
+    p.add_argument("--family", choices=list(_FAMILIES))
     p.add_argument("--d", default="2",
                    help="alphabet size (comma list with --table)")
     p.add_argument("--class", dest="klass",
@@ -459,54 +421,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full classification grid for --d values")
     p.add_argument("--expect-table1", action="store_true",
                    help="exit 1 unless the grid matches the expected summary")
-    _add_common(p, fmt=("text", "json", "csv"), seed=True)
-    p.set_defaults(func=cmd_classify)
+    _add_common(p, cmd_classify, _selftest_classify, fmt=("text", "json", "csv"),
+                seed=True)
 
     anti = subs.add_parser("antilatin", help="anti-Latin square tools")
     anti_subs = anti.add_subparsers(dest="verb", required=True)
 
     p = anti_subs.add_parser("verify", help="check the anti-Latin property")
     p.add_argument("--file", help="square file: d lines of d integers")
-    _add_common(p)
-    p.set_defaults(func=cmd_antilatin_verify)
+    _add_common(p, cmd_antilatin_verify, _selftest_antilatin_verify)
 
     p = anti_subs.add_parser("xi", help="compute one Xi set")
     p.add_argument("--a")
     p.add_argument("--b")
     p.add_argument("--z", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_antilatin_xi)
+    _add_common(p, cmd_antilatin_xi, _selftest_antilatin_xi)
 
     p = anti_subs.add_parser("pair-check", help="one-to-one and decodability checks")
     p.add_argument("--a")
     p.add_argument("--b")
-    _add_common(p)
-    p.set_defaults(func=cmd_antilatin_pair_check)
+    _add_common(p, cmd_antilatin_pair_check, _selftest_antilatin_pair_check)
 
     p = anti_subs.add_parser("find", help="search for a decodable pair")
     p.add_argument("--d", type=int, required=False, default=3)
-    _add_common(p, seed=True, budget=400_000)
-    p.set_defaults(func=cmd_antilatin_find)
+    _add_common(p, cmd_antilatin_find, _selftest_antilatin_find, seed=True,
+                budget=400_000)
 
     p = anti_subs.add_parser("maxset", help="mutually compatible square sets")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--mode", choices=["decodable", "one-to-one"], default="decodable")
     p.add_argument("--method", choices=["exact", "heuristic"], default="exact")
-    _add_common(p, seed=True, budget=60_000)
-    p.set_defaults(func=cmd_antilatin_maxset)
+    _add_common(p, cmd_antilatin_maxset, _selftest_antilatin_maxset, seed=True,
+                budget=60_000)
 
     p = subs.add_parser("capacity", help="r-wiretap or layered unicast capacities")
     p.add_argument("--layered", help='JSON like {"c":2,"k":[2,2],"r":[1,1],"q":2}')
     p.add_argument("--net", help="network file or builtin name (fig1, one-hop)")
     p.add_argument("--r", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_capacity)
+    _add_common(p, cmd_capacity, _selftest_capacity)
 
     p = subs.add_parser("mincut", help="both mincuts of a wiretap network")
     p.add_argument("--net", required=False, default="fig1")
-    _add_common(p)
-    p.set_defaults(func=cmd_mincut)
+    _add_common(p, cmd_mincut, _selftest_mincut)
 
     mds = subs.add_parser("mds", help="MDS generator matrices")
     mds_subs = mds.add_subparsers(dest="verb", required=True)
@@ -516,38 +473,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--q", type=int, default=7)
     p.add_argument("--out", help="also write the matrix to this file")
-    _add_common(p)
-    p.set_defaults(func=cmd_mds_build)
+    _add_common(p, cmd_mds_build, _selftest_mds_build)
 
     p = mds_subs.add_parser("verify", help="verify every square submatrix invertible")
     p.add_argument("--file", required=False)
     p.add_argument("--expect", action="store_true",
                    help="exit 1 when the matrix is not MDS")
-    _add_common(p)
-    p.set_defaults(func=cmd_mds_verify)
+    _add_common(p, cmd_mds_verify, _selftest_mds_verify)
 
     p = subs.add_parser("wiretap2", help="verify a (k, r) wiretap-II code")
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--r", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_wiretap2)
+    _add_common(p, cmd_wiretap2, _selftest_wiretap2)
 
     p = subs.add_parser("han", help="sweep the entropy subset inequality")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--samples", type=int, default=1000)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_han)
+    _add_common(p, cmd_han, _selftest_han, seed=True)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if not args.selftest:
+            return args.func(args)
+        failed = False
+        for name, passed in args.selftests():
+            print(f"selftest {name}: {'ok' if passed else 'FAIL'}")
+            failed |= not passed
+        return 1 if failed else 0
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -9,8 +9,9 @@ from wiretaplab.anti_latin import (
     _adjacency,
     _catalog,
     _max_clique,
+    _relabeling_representatives,
+    _square,
     _table_masks,
-    canonical_representatives,
     compatibility_graph,
     conflict_mask,
     enumerate_anti_latin,
@@ -291,16 +292,16 @@ class TestEnumeration:
             assert is_anti_latin(sq.relabel(perm).rows)
 
     def test_canonical_representatives_cover_catalog(self):
-        catalog = enumerate_anti_latin(3)
-        reps = canonical_representatives(catalog, 3)
+        catalog = list(_catalog(3))
+        reps = _relabeling_representatives(catalog, 3)
         assert len(reps) == 736
         # every orbit has a representative: relabelings of reps cover all
         perms = [p for p in product(range(3), repeat=3) if len(set(p)) == 3]
         seen = set()
         for rep in reps:
             for perm in perms:
-                seen.add(rep.relabel(perm).rows)
-        assert seen == {sq.rows for sq in catalog}
+                seen.add(_square(rep).relabel(perm).rows)
+        assert seen == {_square(numbers).rows for numbers in catalog}
 
 
 class TestFindDecodablePair:

@@ -355,6 +355,21 @@ class TestExitCodes:
         assert "budget" in err and "d > 6" in err
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--family", "standard", "--d", "2", "--class", "active", "--format", "csv"),
+         "--format csv"),
+        (("--expect-table1",), "--expect-table1"),
+        (("--table", "--family", "standard"), "--family"),
+        (("--table", "--class", "passive"), "--class"),
+    ])
+    def test_flag_of_the_other_mode_is_2(self, capsys, argv, flag):
+        # csv and the Table 1 check belong to --table; a family and a
+        # class belong to the single verdict
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     @pytest.mark.parametrize("layered", [
         "null", "[1]", '"k"', '{"k":2,"r":[1],"q":2}', '{"k":[[2]],"r":[1],"q":2}',
         '{"k":[2],"r":[1]}', '{"k":[2],"r":[1],"q":1e400}', '{"k":[2],"r":[1],"q":2,"c":null}',
