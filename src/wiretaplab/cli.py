@@ -390,10 +390,10 @@ def _selftest_han():
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub, func, selftest, *, fmt=("text", "json"), seed=False,
+def _add_common(sub, func, selftests, *, fmt=("text", "json"), seed=False,
                 budget=None):
-    """Add the shared options; register the command and its selftest, a
-    generator of (name, passed) checks."""
+    """Add the shared options; register the command and its selftests, a
+    generator of (name, passed) checks that main prints one at a time."""
     sub.add_argument("--format", choices=fmt, default="text")
     sub.add_argument("--selftest", action="store_true",
                      help="run this command's built-in examples and exit")
@@ -401,7 +401,7 @@ def _add_common(sub, func, selftest, *, fmt=("text", "json"), seed=False,
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if budget is not None:
         sub.add_argument("--budget", type=int, default=budget)
-    sub.set_defaults(func=func, selftests=selftest)
+    sub.set_defaults(func=func, selftests=selftests)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wiretaplab import algebra, attack_engine
+from wiretaplab import algebra, attack_engine, cli
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.cli import _build_family_code, _family_shape, main
 
@@ -471,6 +471,14 @@ class TestSelftests:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_failed_check_is_1_and_the_others_still_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_correctness", lambda code: False)
+        code, out, _ = run(capsys, "classify", "--selftest")
+        assert code == 1
+        assert out == ("selftest scalar transcript: ok\n"
+                       "selftest standard zero-scramble: ok\n"
+                       "selftest built-ins correct: FAIL\n")
 
 
 class TestHanCommand:
