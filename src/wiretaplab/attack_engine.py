@@ -13,22 +13,24 @@ substituted value is her own choice and carries no information.  All
 laws are exact: atoms are uniform over (message, scrambles, relay
 randomness).
 
-classify covers every strategy of a class with one optimiser over
-per-observation slices.  The objective n*H(M | view, W) is a sum over
-slices, and each slice term is log2 of a ratio of integers, so
-strategies are ranked by exact integer cross-multiplication.
+classify covers every strategy of all four classes with one optimiser,
+_tap_optimum, over per-observation slices of one tap edge.  The
+objective n*H(M | view, W) is a sum over slices, and each slice term is
+log2 of a ratio of integers, so strategies are ranked by exact integer
+cross-multiplication.
 
 Every slice term is read off three columns over the atoms (M, the
-tapped view and one second-layer column W) by _tap_terms, a memo of
-bounded size.  A passive tap reads the code's own Y3 and Y4.  A map
-changes the relay input of atoms that observed v only through the value
-x it gives v, so the active slice (v, x) is the slice v under the
+tapped view and one second-layer column W) by _tap_terms.  A passive
+class has one slice, the code's own (Y3, Y4), under the identity.  A
+map changes the relay input of atoms that observed v only through the
+value x it gives v, so the active slice (v, x) is the slice v under the
 constant map x: one pass over the atoms under the d constant maps (d^2
 per-shot pairs for two-shot codes) gives every slice, d*d slices
 instead of d^d full laws.  A single-shot view picks its own substitute;
 a two-shot view (vA, vB) sees the map at both vA and vB, so two-shot
 active classes walk the d^d maps, each looking its views' terms up by
-the substitute (mod[vA], mod[vB]).
+the substitute (mod[vA], mod[vB]).  Both the terms and each tap edge's
+optimum are memos of bounded size.
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
 literally; they are the reference the optimiser is tested against.
@@ -308,11 +310,14 @@ def _level(objective: tuple[int, int], d: int, n: int) -> SecurityLevel:
     return SecurityLevel.IMPERFECT
 
 
-# One entry per distinct (M, tap, W) column triple, passive or active.
-# The d=2 sweeps meet a few hundred triples, the affine sweep 75 at d = 3
-# and 605 at d = 5, a cold grid at d = 2, 3, 4 145, and that grid with
-# perfbench's twelve verdicts at d = 4, 5 203, so a whole sweep fits; the
-# bound keeps a long-running process from growing without end.
+# The bound of both memos.  _tap_terms holds one entry per distinct
+# (M, tap, W) column triple, passive or active: the d=2 sweeps meet a few
+# hundred, the affine sweep 75 at d = 3 and 605 at d = 5, a cold grid at
+# d = 2, 3, 4 145.  _tap_optimum holds one per distinct (class, M, tap,
+# slices) of one tap edge: the d = 2 sweep meets 816 per passive class.
+# One pass of perfbench's sweep holds 243 triples and 1632 optima, one of
+# its classify 203 and 60, so a whole sweep fits; the bound keeps a
+# long-running process from growing without end.
 _TAP_MEMO_SIZE = 4096
 
 
@@ -356,19 +361,14 @@ def _tap_terms(messages: tuple[int, ...], tap: tuple[int, ...],
     return tuple(views), mi
 
 
-def _objective(views: Iterable[tuple]) -> tuple[int, int]:
-    """Objective of one fixed second-layer edge: the product of its view terms."""
-    num = den = 1
-    for _, obj, _, _ in views:
-        num *= obj[0]
-        den *= obj[1]
-    return num, den
-
-
 def _view_level(d: int, messages: tuple[int, ...], tap: tuple[int, ...],
                 w: tuple[int, ...]) -> SecurityLevel:
     """Level of the deterministic-passive view (tap, W) over equally likely atoms."""
-    return _level(_objective(_tap_terms(messages, tap, w)[0]), d, len(messages))
+    num = den = 1
+    for _, obj, _, _ in _tap_terms(messages, tap, w)[0]:
+        num *= obj[0]
+        den *= obj[1]
+    return _level((num, den), d, len(messages))
 
 
 def _columns(code: OneHopCode,
@@ -409,86 +409,63 @@ def _placed(code: OneHopCode, maps: dict[int, Sequence[int]]) -> tuple:
     return tuple(maps.get(i, _identity(code.d)) for i in range(2 * code.shots))
 
 
-def _passive_verdict(d: int, shots: int, klass: AttackClass,
-                     columns: tuple[tuple[int, ...], ...]
-                     ) -> tuple[SecurityLevel, AttackStrategy]:
-    """(level, witness) of a passive class: its first optimum on the code's columns.
-
-    Each tap edge reads the terms of W = Y3 and W = Y4.  A deterministic
-    selector takes e(3) unless e(4) has the strictly smaller product; an
-    adaptive one takes each view's smaller term, e(3) on ties and on
-    views no atom reaches.  e(1) wins unless e(2) is strictly smaller.
-    """
-    messages, adaptive = columns[0], klass.is_adaptive
-    best = None
-    for first_edge in (1, 2):
-        views3 = _tap_terms(messages, columns[first_edge], columns[3])[0]
-        views4 = _tap_terms(messages, columns[first_edge], columns[4])[0]
-        if adaptive:
-            selector = [3] * d ** shots
-            num = den = 1
-            for (v, obj, _, _), (_, obj4, _, _) in zip(views3, views4):
-                if _less(obj4, obj):
-                    obj, selector[v] = obj4, 4
-                num *= obj[0]
-                den *= obj[1]
-            cand = (num, den), tuple(selector)
-        else:
-            cand = _first_min([(_objective(views3), (3,) * d ** shots),
-                               (_objective(views4), (4,) * d ** shots)])
-        if best is None or _less(cand[0], best[0]):
-            best = cand[0], first_edge, cand[1]
-    objective, first_edge, selector = best
-    witness = AttackStrategy(d, shots, klass, first_edge, _identity(d), selector)
-    return _level(objective, d, len(messages)), witness
+def _passive_taps(columns: tuple[tuple[int, ...], ...]) -> tuple:
+    """(tap, slices) of e(1) and of e(2): a passive class's only slice is (Y3, Y4)."""
+    slices = ((columns[3], columns[4]),)
+    return (columns[1], slices), (columns[2], slices)
 
 
 def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
-    """(M, tap, slices) with one (xs, Y3, Y4) per per-shot substitute xs.
+    """(M, tap, slices) with one (Y3, Y4) per per-shot substitute xs.
 
     The relay reads xs[i] on first_edge in shot i, so over the atoms with
     view v, Y3 and Y4 are those of the slice (v, xs).  Substitutes run in
-    lexicographic order, so substitute number v is the coded view v itself.
+    lexicographic order, so substitute number n holds the digits of n in
+    base d, and number v is the coded view v itself.
     """
     d, pos = code.d, first_edge - 1
-    subs = list(product(range(d), repeat=code.shots))
     columns = _columns(code, [_placed(code, {2 * i + pos: (x,) * d for i, x in enumerate(xs)})
-                              for xs in subs])
-    return columns[0], columns[first_edge], list(zip(subs, columns[3::2], columns[4::2]))
+                              for xs in product(range(d), repeat=code.shots)])
+    return columns[0], columns[first_edge], tuple(zip(columns[3::2], columns[4::2]))
 
 
-def _tap_optimum(code: OneHopCode, klass: AttackClass, first_edge: int) -> tuple:
-    """(objective, mod, selector) of an active class's first optimum on one tap edge.
+@lru_cache(maxsize=_TAP_MEMO_SIZE)
+def _tap_optimum(d: int, shots: int, klass: AttackClass, messages: tuple[int, ...],
+                 tap: tuple[int, ...], slices: tuple) -> tuple:
+    """(objective, mod, selector) of a class's first optimum on one tap edge.
 
-    The term of view v under substitute number n is read off the column
-    terms of (tap, Y3) and (tap, Y4) of slice n.  Each edge set the
-    selector may use gets its own first optimum: a single-shot view takes
-    its least substitute, the smallest on ties; a map gives both shots of
-    a two-shot view their values, so two-shot codes walk the maps in
-    order.  A deterministic tie between the edges goes to (mod, edge)
-    order.  A view no atom reaches keeps substitute 0 and the first edge.
+    slices holds one (Y3, Y4) per substitute number: the code's own
+    columns alone for a passive class, the per-shot constant substitutes
+    of _slice_columns for an active one.  The term of view v in slice n
+    is read off the column terms of (tap, Y3) and (tap, Y4) of slice n.
+    Each edge set the selector may use gets its own first optimum: a
+    passive view reads slice 0 under the identity; a single-shot active
+    view takes its least substitute, the smallest on ties; a map gives
+    both shots of a two-shot view their values, so two-shot active codes
+    walk the maps in order.  A deterministic tie between the edges goes
+    to (mod, edge) order.  A view no atom reaches keeps substitute 0 (the
+    identity when passive) and the first edge.
     """
-    d, shots = code.d, code.shots
-    messages, tap, slices = _slice_columns(code, first_edge)
     terms = []
-    for _, y3, y4 in slices:
+    for y3, y4 in slices:
         views3 = _tap_terms(messages, tap, y3)[0]
         terms.append([(t3[1], t4[1]) for t3, t4 in zip(views3, _tap_terms(messages, tap, y4)[0])])
     observed = [v for v, *_ in views3]
     cands = []
     for edges in ((3, 4),) if klass.is_adaptive else ((3,), (4,)):
-        # least[i][n]: the least term over edges of observed view i under
-        # substitute n, and the first edge attaining it
+        # least[i][n]: the least term over edges of observed view i in
+        # slice n, and the first edge attaining it
         least = [[_edge_choice(row[i], edges) for row in terms] for i in range(len(observed))]
-        if shots == 1:
-            mod, num, den = [0] * d, 1, 1
+        if not klass.is_active:
+            mod, picks = _identity(d), [0] * len(observed)
+        elif shots == 1:
+            mod = [0] * d
             for terms_v, v in zip(least, observed):
-                obj, mod[v] = _first_min((t[0], x) for x, t in enumerate(terms_v))
-                num *= obj[0]
-                den *= obj[1]
-            objective, mod = (num, den), tuple(mod)
+                mod[v] = _first_min((t[0], x) for x, t in enumerate(terms_v))[1]
+            mod = tuple(mod)
+            picks = [mod[v] for v in observed]
         else:
-            objective = None
+            best = None
             views = [([t[0] for t in terms_v], v // d, v % d)
                      for terms_v, v in zip(least, observed)]
             for m in product(range(d), repeat=d):
@@ -497,23 +474,33 @@ def _tap_optimum(code: OneHopCode, klass: AttackClass, first_edge: int) -> tuple
                     obj = terms_v[m[a] * d + m[b]]
                     num *= obj[0]
                     den *= obj[1]
-                if objective is None or _less((num, den), objective):
-                    objective, mod = (num, den), m
+                if best is None or _less((num, den), best):
+                    best, mod = (num, den), m
+            picks = [mod[v // d] * d + mod[v % d] for v in observed]
+        num = den = 1
         selector = [edges[0]] * d ** shots
-        for terms_v, v in zip(least, observed):
-            selector[v] = terms_v[mod[v] if shots == 1 else mod[v // d] * d + mod[v % d]][1]
-        cands.append((objective, mod, tuple(selector)))
+        for terms_v, v, n in zip(least, observed, picks):
+            obj, selector[v] = terms_v[n]
+            num *= obj[0]
+            den *= obj[1]
+        cands.append(((num, den), mod, tuple(selector)))
     return _first_min(sorted(cands, key=itemgetter(1, 2)))
 
 
-def _active_optimum(code: OneHopCode, klass: AttackClass) -> tuple:
-    """(objective, first_edge, modification, selector) of an active class's first optimum."""
+def _optimum(d: int, shots: int, klass: AttackClass, messages: tuple[int, ...],
+             taps: Iterable[tuple]) -> tuple[SecurityLevel, AttackStrategy]:
+    """(level, witness) of a class's first optimum over the (tap, slices) of e(1), e(2).
+
+    e(1) wins unless e(2) has the strictly smaller objective.
+    """
     best = None
-    for first_edge in (1, 2):
-        objective, mod, selector = _tap_optimum(code, klass, first_edge)
+    for first_edge, (tap, slices) in enumerate(taps, 1):
+        objective, mod, selector = _tap_optimum(d, shots, klass, messages, tap, slices)
         if best is None or _less(objective, best[0]):
             best = objective, first_edge, mod, selector
-    return best
+    objective, first_edge, mod, selector = best
+    witness = AttackStrategy(d, shots, klass, first_edge, mod, selector)
+    return _level(objective, d, len(messages)), witness
 
 
 def check_classify_budget(d: int, shots: int, atoms: int, klass: AttackClass) -> None:
@@ -542,9 +529,9 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     objective n*H(M | view, W): it is 0 exactly when some view pins M,
     and n*H(M) exactly when no strategy leaks.
 
-    Every class reads the objective off the column terms of (tap, W)
-    pairs: passive classes off the code's own columns, active classes
-    off those of each (view, substitute) slice.
+    Every class runs the one optimiser, per tap edge, on the column
+    terms of (tap, W) pairs: passive classes on the code's own columns,
+    active classes on those of each (view, substitute) slice.
 
     The witness is the first maximum-leakage strategy in canonical order
     (first_edge, then modification, then selector): within a slice the
@@ -562,14 +549,15 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     d, s = code.d, code.shots
     check_classify_budget(d, s, len(code.encoder) * len(code.relay_random_values()), klass)
     if klass.is_active:
-        objective, first_edge, mod, selector = _active_optimum(code, klass)
-        columns = _columns(code, [_placed(code, {2 * i + first_edge - 1: mod
-                                                  for i in range(s)})])
-        level = _level(objective, d, len(columns[0]))
-        witness = AttackStrategy(d, s, klass, first_edge, tuple(mod), tuple(selector))
+        by_edge = [_slice_columns(code, first_edge) for first_edge in (1, 2)]
+        messages, taps = by_edge[0][0], [cols[1:] for cols in by_edge]
     else:
         columns = _columns(code)
-        level, witness = _passive_verdict(d, s, klass, columns)
+        messages, taps = columns[0], _passive_taps(columns)
+    level, witness = _optimum(d, s, klass, messages, taps)
+    if klass.is_active:
+        columns = _columns(code, [_placed(code, {2 * i + witness.first_edge - 1:
+                                                  witness.modification for i in range(s)})])
     selector = witness.selector
     messages, tap, n = columns[0], columns[witness.first_edge], len(columns[0])
     if klass.is_adaptive:
@@ -812,10 +800,12 @@ def exhaustive_nonexistence_check(
     enumerate_onehop_codes in their order and under their names, without
     building them.  A passive verdict reads only the atom columns (M, Y1,
     Y2, Y3, Y4), which the 11232 codes share: each distinct column tuple
-    (3888 of them) is decided once, as classify decides it, and codes
-    with equal columns share one witness.  An active verdict reads the
-    relay table beyond those columns, so an active class raises
-    ValueError; classify the codes of enumerate_onehop_codes for it.
+    (3888 of them) is decided once, by the optimiser classify runs, and
+    codes with equal columns share one witness.  The optimiser's memo
+    holds one tap edge's (M, tap, Y3, Y4), so the 7776 tap-edge reads
+    make 816 optima.  An active verdict reads the relay table beyond
+    those columns, so an active class raises ValueError; classify the
+    codes of enumerate_onehop_codes for it.
 
     Against adaptive attacks the sweep is expected to find no code that
     avoids full message recovery; the report carries any counterexamples
@@ -834,7 +824,7 @@ def exhaustive_nonexistence_check(
     for name, _, _, columns in enumerate_code_tables(2):
         found = decided.get(columns)
         if found is None:
-            found = decided[columns] = _passive_verdict(2, 1, klass, columns)
+            found = decided[columns] = _optimum(2, 1, klass, columns[0], _passive_taps(columns))
         level, witness = found
         counts[level] += 1
         if level is SecurityLevel.INSECURE:
@@ -935,15 +925,17 @@ def linear_active_reduction_check(code: OneHopCode) -> bool:
     if not code_is_affine(code):
         raise ValueError("code tables are not affine over Z_d")
     d = code.d
+    # substitute number n, in lexicographic order
+    subs = list(product(range(d), repeat=code.shots))
     for first_edge in (1, 2):
         messages, tap, slices = _slice_columns(code, first_edge)
-        for col in (1, 2):
+        for col in (0, 1):
             # (view, M, W) counts per substitute; substitute number v is the
             # view v itself, so its slice v is the passive one
             counts = [Counter(zip(tap, messages, s[col])) for s in slices]
-            for (xs, _, _), active in zip(slices, counts):
+            for xs, active in zip(subs, counts):
                 for v in set(tap):
-                    view = slices[v][0]
+                    view = subs[v]
                     # a map gives a symbol seen twice one value
                     if view[0] == view[-1] and xs[0] != xs[-1]:
                         continue

@@ -219,8 +219,8 @@ def cmd_antilatin_find(args) -> int:
               f"NotFound: no decodable pair exists for d={args.d} "
               f"(exhaustive over {result.examined} candidate pairs)\n")
         return 0
-    print(f"budget exhausted after {result.examined} steps", file=sys.stderr)
-    return 3
+    raise BudgetError(f"no decodable pair found for d={args.d} "
+                      f"after {result.examined} steps")
 
 
 def _selftest_antilatin_find():

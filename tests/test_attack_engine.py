@@ -37,6 +37,7 @@ from wiretaplab.attack_engine import (
     _pair_rank,
     _scalar_linear_row,
     _slice_columns,
+    _tap_optimum,
     _tap_terms,
     _view_level,
 )
@@ -229,11 +230,13 @@ def slice_terms(code, first_edge):
     """Objectives with W = Y3 and W = Y4 of every slice (view, xs) some map
     reaches, read off the column form classify optimises over."""
     messages, tap, slices = _slice_columns(code, first_edge)
+    # substitute number n, in lexicographic order
+    subs = list(product(range(code.d), repeat=code.shots))
     objectives = {}
-    for xs, y3, y4 in slices:
+    for xs, (y3, y4) in zip(subs, slices):
         terms4 = _tap_terms(messages, tap, y4)[0]
         for (v, obj3, _, _), (_, obj4, _, _) in zip(_tap_terms(messages, tap, y3)[0], terms4):
-            view = slices[v][0]
+            view = subs[v]
             # a map gives a symbol seen twice one value
             if view[0] != view[-1] or xs[0] == xs[-1]:
                 objectives[view, xs] = obj3, obj4
@@ -568,12 +571,26 @@ class TestTapTermsMemo:
         codes += [random_code(rng, 2, 2, 1, i % 2) for i in range(4)]
         classes = (DP, AP, DA, AA)
         warm = [classify(code, klass).to_json_dict() for code in codes for klass in classes]
+        _tap_optimum.cache_clear()
         _tap_terms.cache_clear()
         cold = [classify(code, klass).to_json_dict() for code in codes for klass in classes]
         assert cold == warm
 
     def test_memo_is_bounded(self):
+        assert _tap_optimum.cache_info().maxsize is not None
         assert _tap_terms.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("klass", [DP, AP])
+    def test_sweep_optimises_each_tap_edge_once(self, klass):
+        # the optimiser is keyed on one tap edge's columns (M, tap, Y3, Y4),
+        # not on the code's whole (M, Y1, Y2, Y3, Y4): the 3888 distinct
+        # column tuples of the d = 2 sweep make 7776 tap-edge reads, of which
+        # 816 are distinct.  A key on the whole tuple would miss 3888 times
+        _tap_optimum.cache_clear()
+        _tap_terms.cache_clear()
+        exhaustive_nonexistence_check(2, klass)
+        info = _tap_optimum.cache_info()
+        assert (info.misses, info.hits) == (816, 7776 - 816)
 
 
 def verdicts_sha256(codes, classes):

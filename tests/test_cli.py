@@ -181,6 +181,17 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_antilatin_find_budget_reads_like_every_search(self, capsys, fmt):
+        # the pair search reports its exhausted budget through BudgetError,
+        # in the one form main prints for every search
+        code, out, err = run(capsys, "antilatin", "find", "--d", "5",
+                             "--budget", "5", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget exhausted: ")
+        assert "d=5" in err and "after 5 steps" in err
+
     @pytest.mark.parametrize("argv", [
         ("antilatin", "find", "--d", "4"),
         ("antilatin", "maxset", "--d", "4", "--method", "heuristic"),
