@@ -24,12 +24,14 @@ tapped view and one second-layer column W) by _tap_terms.  A passive
 class has one slice, the code's own (Y3, Y4), under the identity.  A
 map changes the relay input of atoms that observed v only through the
 value x it gives v, so the active slice (v, x) is the slice v under the
-constant map x: one pass over the atoms under the d constant maps (d^2
-per-shot pairs for two-shot codes) gives every slice, d*d slices
-instead of d^d full laws.  A single-shot view picks its own substitute;
-a two-shot view (vA, vB) sees the map at both vA and vB, so two-shot
-active classes walk the d^d maps, each looking its views' terms up by
-the substitute (mod[vA], mod[vB]).  Both the terms and each tap edge's
+constant map x.  _slice_columns reads every slice by index: the relay's
+outputs, flattened in input order, are gathered once per constant map
+(d^2 per-shot pairs for two-shot codes) at each atom's relay index, d*d
+slices instead of d^d full laws.  A single-shot view picks its own
+substitute; a two-shot view (vA, vB) sees the map at both vA and vB, so
+two-shot active classes walk the d^d maps, each looking its views' terms
+up by the substitute (mod[vA], mod[vB]).  The witness's own columns are
+picked from the same slices.  Both the terms and each tap edge's
 optimum are memos of bounded size.
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from operator import getitem, itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .anti_latin import DEFAULT_SEED, find_decodable_pair, reference_decodable_pair
@@ -371,16 +373,13 @@ def _view_level(d: int, messages: tuple[int, ...], tap: tuple[int, ...],
     return _level((num, den), d, len(messages))
 
 
-def _columns(code: OneHopCode,
-             substitutes: Optional[Sequence[Sequence[Sequence[int]]]] = None
-             ) -> tuple[tuple[int, ...], ...]:
-    """(M, Y1, Y2, Y3, Y4) over the atoms, or (M, Y1, Y2) and (Y3, Y4) per substitute.
+def _columns(code: OneHopCode) -> tuple[tuple[int, ...], ...]:
+    """(M, Y1, Y2, Y3, Y4) over the atoms, the relay reading its inputs unchanged.
 
     Atoms run over encoder_inputs() x relay_random_values().  Column i of
     the first three is what Eve reads on e(i), a two-shot view (vA, vB)
-    coded as vA*d + vB.  A substitute is one map per first-layer symbol
-    (shot by shot, e(1) before e(2)) through which the relay reads that
-    symbol; without substitutes the relay reads the symbols unchanged.
+    coded as vA*d + vB.  This direct walk is the passive path; the relay
+    under substitutes is read by _slice_columns alone.
     """
     d = code.d
     relay_values = code.relay_random_values()
@@ -392,21 +391,9 @@ def _columns(code: OneHopCode,
             y1, y2 = first
         else:
             y1, y2 = first[0] * d + first[2], first[1] * d + first[3]
-        if substitutes is None:
-            relay_ins = (first,)
-        else:
-            relay_ins = [tuple(map(getitem, maps, first)) for maps in substitutes]
         for lp in relay_values:
-            row = (m, y1, y2)
-            for relay_in in relay_ins:
-                row += code.relay_output(relay_in, lp)
-            atoms.append(row)
+            atoms.append((m, y1, y2) + code.relay_output(first, lp))
     return tuple(zip(*atoms))
-
-
-def _placed(code: OneHopCode, maps: dict[int, Sequence[int]]) -> tuple:
-    """A substitute: maps[i] on first-layer symbol i, the identity elsewhere."""
-    return tuple(maps.get(i, _identity(code.d)) for i in range(2 * code.shots))
 
 
 def _passive_taps(columns: tuple[tuple[int, ...], ...]) -> tuple:
@@ -415,18 +402,64 @@ def _passive_taps(columns: tuple[tuple[int, ...], ...]) -> tuple:
     return (columns[1], slices), (columns[2], slices)
 
 
-def _slice_columns(code: OneHopCode, first_edge: int) -> tuple:
-    """(M, tap, slices) with one (Y3, Y4) per per-shot substitute xs.
+def _tap_symbols(shots: int, first_edge: int) -> range:
+    """Positions, in the flat order of first_layer_symbols, that e(first_edge) carries."""
+    return range(first_edge - 1, 2 * shots, 2)
 
-    The relay reads xs[i] on first_edge in shot i, so over the atoms with
-    view v, Y3 and Y4 are those of the slice (v, xs).  Substitutes run in
+
+def _slice_columns(code: OneHopCode, positions: Sequence[int]) -> tuple:
+    """(M, tap, slices): one (Y3, Y4) per substitute xs of the tapped symbols.
+
+    positions are the tapped first-layer symbols, in the flat order of
+    first_layer_symbols (shot by shot, e(1) before e(2)); the tap is
+    their values coded as one number in base d, first position first.
+    The relay reads xs[j] at positions[j], so over the atoms with view
+    v, Y3 and Y4 are those of the slice (v, xs).  Substitutes run in
     lexicographic order, so substitute number n holds the digits of n in
     base d, and number v is the coded view v itself.
+
+    The relay table is total, so its outputs in lexicographic input
+    order are two flat tuples, and an input's index is its digits in
+    base d.  Column by column over the encoder inputs, each atom's index
+    with the tapped symbols zeroed is found once; substitute xs adds one
+    offset to every index, so each slice column is one gather of those
+    indices from a flat tuple shifted by the offset.
     """
-    d, pos = code.d, first_edge - 1
-    columns = _columns(code, [_placed(code, {2 * i + pos: (x,) * d for i, x in enumerate(xs)})
-                              for xs in product(range(d), repeat=code.shots)])
-    return columns[0], columns[first_edge], tuple(zip(columns[3::2], columns[4::2]))
+    d = code.d
+    # the relay's own symbol, if any, is its last input digit
+    lps = range(d) if code.relay_randomness else (0,)
+    arity = 2 * code.shots + (1 if code.relay_randomness else 0)
+    flat3, flat4 = zip(*itemgetter(*product(range(d), repeat=arity))(code.relay))
+    keys = list(product(range(d), repeat=1 + code.scramble_count))
+    # one column per first-layer symbol, over the encoder inputs in order
+    symbols = list(zip(*[sum(out, ()) for out in itemgetter(*keys)(code.encoder)]))
+    view = base = (0,) * len(keys)
+    for p in positions:
+        view = tuple(map(add, map(d.__mul__, view), symbols[p]))
+    for p, column in enumerate(symbols):
+        if p not in positions:
+            base = tuple(map(add, base, map((d ** (arity - 1 - p)).__mul__, column)))
+    messages = [key[0] for key in keys for _ in lps]
+    tap = [v for v in view for _ in lps]
+    # at least d atoms, so the gather returns a tuple
+    gather = itemgetter(*[b + lp for b in base for lp in lps])
+    slices = []
+    for xs in product(range(d), repeat=len(positions)):
+        offset = sum(x * d ** (arity - 1 - p) for x, p in zip(xs, positions))
+        slices.append((gather(flat3[offset:]), gather(flat4[offset:])))
+    return tuple(messages), tuple(tap), tuple(slices)
+
+
+def _mapped_slice(d: int, shots: int, tap: tuple[int, ...], slices: tuple,
+                  mod: Sequence[int]) -> tuple:
+    """(Y3, Y4) over the atoms when the map mod substitutes every tapped symbol.
+
+    slices are those of _slice_columns on one tap edge.  An atom with
+    view v reads substitute number mod[v], or mod[vA]*d + mod[vB] for a
+    two-shot view (vA, vB).
+    """
+    picks = mod if shots == 1 else [mod[v // d] * d + mod[v % d] for v in range(d * d)]
+    return tuple(tuple(slices[picks[v]][c][a] for a, v in enumerate(tap)) for c in (0, 1))
 
 
 @lru_cache(maxsize=_TAP_MEMO_SIZE)
@@ -549,26 +582,25 @@ def classify(code: OneHopCode, klass: AttackClass) -> SecurityVerdict:
     d, s = code.d, code.shots
     check_classify_budget(d, s, len(code.encoder) * len(code.relay_random_values()), klass)
     if klass.is_active:
-        by_edge = [_slice_columns(code, first_edge) for first_edge in (1, 2)]
+        by_edge = [_slice_columns(code, _tap_symbols(s, first_edge)) for first_edge in (1, 2)]
         messages, taps = by_edge[0][0], [cols[1:] for cols in by_edge]
     else:
         columns = _columns(code)
         messages, taps = columns[0], _passive_taps(columns)
     level, witness = _optimum(d, s, klass, messages, taps)
+    tap, slices = taps[witness.first_edge - 1]
     if klass.is_active:
-        columns = _columns(code, [_placed(code, {2 * i + witness.first_edge - 1:
-                                                  witness.modification for i in range(s)})])
-    selector = witness.selector
-    messages, tap, n = columns[0], columns[witness.first_edge], len(columns[0])
+        slices = (_mapped_slice(d, s, tap, slices, witness.modification),)
+    selector, n = witness.selector, len(messages)
     if klass.is_adaptive:
-        views3 = _tap_terms(messages, tap, columns[3])[0]
-        views4 = _tap_terms(messages, tap, columns[4])[0]
+        views3 = _tap_terms(messages, tap, slices[0][0])[0]
+        views4 = _tap_terms(messages, tap, slices[0][1])[0]
         cond = 0.0
         for (v, _, n_v, h3), (_, _, _, h4) in zip(views3, views4):
             cond += (n_v / n) * (h3 if selector[v] == 3 else h4)
         leak = _entropy_of_weights(Counter(messages), n) - cond
     else:
-        leak = _tap_terms(messages, tap, columns[selector[0]])[1]
+        leak = _tap_terms(messages, tap, slices[0][selector[0] - 3])[1]
     return SecurityVerdict(code.name, klass, level, max(leak, 0.0), witness)
 
 
@@ -700,12 +732,18 @@ def _code_row(code: OneHopCode) -> dict[str, SecurityLevel]:
     return {c: classify(code, _COLUMN_CLASS[c]).level for c in TABLE_COLUMNS}
 
 
+@lru_cache(maxsize=16)
 def anti_latin_pair(d: int, seed: int = DEFAULT_SEED) -> tuple:
     """The decodable pair of anti-Latin squares the family code over Z_d uses.
 
     The stored reference pair for d = 3, 4, else the pair
     find_decodable_pair finds from seed.  ValueError when no pair exists
     (proven at d = 2), BudgetError when the search ends without one.
+    The pair is a function of (d, seed) and its squares are frozen, so
+    it is memoised: the d = 5 search costs about 3 ms (2-vCPU x86-64
+    VM, CPython 3.11), and the grid and every `classify --family
+    anti-latin` ask for the pair again.
+    Exceptions are not memoised.
     """
     if d in (3, 4):
         return reference_decodable_pair(d)
@@ -928,7 +966,7 @@ def linear_active_reduction_check(code: OneHopCode) -> bool:
     # substitute number n, in lexicographic order
     subs = list(product(range(d), repeat=code.shots))
     for first_edge in (1, 2):
-        messages, tap, slices = _slice_columns(code, first_edge)
+        messages, tap, slices = _slice_columns(code, _tap_symbols(code.shots, first_edge))
         for col in (0, 1):
             # (view, M, W) counts per substitute; substitute number v is the
             # view v itself, so its slice v is the passive one
@@ -958,18 +996,15 @@ def check_extended_two_shot_secrecy(code: OneHopCode) -> bool:
     so it suffices that M stays independent of her view and W for every
     fixed pair of per-shot edges, every pair of substituted constants and
     each second-layer edge.  The view on e(i1) in shot 1 and e(i2) in
-    shot 2 is read off the coded columns Y_i1 and Y_i2.
+    shot 2 is the tap of _slice_columns on the first-layer symbols
+    i1 - 1 and i2 + 1, whose slices are the pairs of constants.
     """
     if code.shots != 2:
         raise ValueError("extended mode applies to two-shot codes")
     d = code.d
-    constants = [((x1,) * d, (x2,) * d) for x1, x2 in product(range(d), repeat=2)]
     for i1, i2 in product((1, 2), repeat=2):
-        columns = _columns(code, [_placed(code, {i1 - 1: f1, i2 + 1: f2})
-                                  for f1, f2 in constants])
-        messages = columns[0]
-        view = tuple(a // d * d + b % d for a, b in zip(columns[i1], columns[i2]))
+        messages, view, slices = _slice_columns(code, (i1 - 1, i2 + 1))
         if any(_view_level(d, messages, view, w) is not SecurityLevel.PERFECT
-               for w in columns[3:]):
+               for pair in slices for w in pair):
             return False
     return True

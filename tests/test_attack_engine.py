@@ -34,10 +34,12 @@ from wiretaplab.attack_engine import (
 from wiretaplab.attack_engine import (
     _affine_relay_code,
     _columns,
+    _mapped_slice,
     _pair_rank,
     _scalar_linear_row,
     _slice_columns,
     _tap_optimum,
+    _tap_symbols,
     _tap_terms,
     _view_level,
 )
@@ -216,6 +218,37 @@ def slice_objectives(slice_w):
     return tuple(out)
 
 
+def literal_slices(code, positions, substitutes=None):
+    """Oracle: (M, tap, slices), the relay re-read per atom and per substitute.
+
+    The tap codes the symbols at positions in base d, first position
+    first.  A substitute holds one map per position through which the
+    relay reads that symbol, and gives one (Y3, Y4) over the atoms.  By
+    default the substitutes are the constant maps xs in lexicographic
+    order, the slices _slice_columns gathers.
+    """
+    d = code.d
+    if substitutes is None:
+        substitutes = [tuple((x,) * d for x in xs)
+                       for xs in product(range(d), repeat=len(positions))]
+    rows = []
+    for key in code.encoder_inputs():
+        first = code.first_layer_symbols(key[0], key[1:])
+        view = 0
+        for p in positions:
+            view = view * d + first[p]
+        for lp in code.relay_random_values():
+            row = (key[0], view)
+            for maps in substitutes:
+                relay_in = list(first)
+                for p, f in zip(positions, maps):
+                    relay_in[p] = f[first[p]]
+                row += code.relay_output(tuple(relay_in), lp)
+            rows.append(row)
+    columns = tuple(zip(*rows))
+    return columns[0], columns[1], tuple(zip(columns[2::2], columns[3::2]))
+
+
 def slice_codes():
     """Seeded single-shot codes at d = 2, 3, 4 and two-shot codes at d = 2, 3,
     with and without relay randomness, and the d=2 vector-linear code."""
@@ -229,7 +262,7 @@ def slice_codes():
 def slice_terms(code, first_edge):
     """Objectives with W = Y3 and W = Y4 of every slice (view, xs) some map
     reaches, read off the column form classify optimises over."""
-    messages, tap, slices = _slice_columns(code, first_edge)
+    messages, tap, slices = _slice_columns(code, _tap_symbols(code.shots, first_edge))
     # substitute number n, in lexicographic order
     subs = list(product(range(code.d), repeat=code.shots))
     objectives = {}
@@ -456,6 +489,49 @@ class TestClassify:
                 assert [v for v, *_ in views3] == sorted(want)
             assert_slice_terms_match_the_oracle(code)
 
+    def test_slice_columns_match_the_literal_walk(self):
+        # the gather reads every slice off the relay's flat outputs by
+        # index; the oracle re-reads the relay per atom and per substitute,
+        # on both tap edges and, for two-shot codes, on the extended mode's
+        # per-shot edges (i1, i2)
+        codes = slice_codes() + [scalar_linear_code(3), vector_linear_code(2),
+                                 vector_linear_code(3)]
+        for code in codes:
+            all_positions = [_tap_symbols(code.shots, first_edge) for first_edge in (1, 2)]
+            if code.shots == 2:
+                all_positions += [(i1 - 1, i2 + 1) for i1, i2 in product((1, 2), repeat=2)]
+            for positions in all_positions:
+                assert _slice_columns(code, positions) == literal_slices(code, positions), \
+                    (code.name, positions)
+
+    def test_active_witness_columns_match_the_literal_walk(self, monkeypatch):
+        # an active witness's (Y3, Y4) are picked atom by atom from its
+        # edge's slices; the oracle reads the relay under the witness map.
+        # The grid's witnesses are constant maps, so the seeded codes add
+        # maps that send different views to different substitutes
+        verdicts = []
+        real = attack_engine.classify
+
+        def spy(code, klass):
+            verdicts.append((code, real(code, klass)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(attack_engine, "classify", spy)
+        classification_table([2, 3, 4])
+        active = [(code, verdict) for code, verdict in verdicts if verdict.klass.is_active]
+        assert {code.shots for code, _ in active} == {1, 2}
+        active += [(code, real(code, klass)) for code in active_codes_beyond_d2()
+                   for klass in (DA, AA)]
+        assert {code.shots for code, verdict in active
+                if len(set(verdict.witness.modification)) > 1} == {1, 2}
+        for code, verdict in active:
+            witness = verdict.witness
+            positions = _tap_symbols(code.shots, witness.first_edge)
+            _, tap, slices = _slice_columns(code, positions)
+            mapped = [(witness.modification,) * len(positions)]
+            assert _mapped_slice(code.d, code.shots, tap, slices, witness.modification) == \
+                literal_slices(code, positions, mapped)[2][0], (code.name, verdict.klass)
+
     def test_active_budget(self):
         # two-shot active classes enumerate d^d maps and stop at d > 6;
         # single-shot active classes are polynomial and meet only the read cap
@@ -482,6 +558,7 @@ class TestClassify:
 
         # 27^3 atoms times 27 substitutes, refused before the first column walk
         monkeypatch.setattr(attack_engine, "_columns", no_columns)
+        monkeypatch.setattr(attack_engine, "_slice_columns", no_columns)
         with pytest.raises(BudgetError, match="531441"):
             classify(scalar_linear_code(27), DA)
 
@@ -765,12 +842,30 @@ class TestAntiLatinPair:
             anti_latin_pair(2)
 
     def test_search_without_result_is_a_budget_error(self, monkeypatch):
+        # a memoised pair would never reach the patched search
+        anti_latin_pair.cache_clear()
         monkeypatch.setattr(attack_engine, "find_decodable_pair",
                             lambda d, seed: find_decodable_pair(d, seed, budget=5))
         with pytest.raises(BudgetError, match="no decodable anti-Latin pair found for d=5"):
             anti_latin_pair(5)
         with pytest.raises(BudgetError, match="d=5"):
             classification_table([5])
+
+    def test_repeated_pair_is_the_memoised_tuple(self):
+        pair = anti_latin_pair(5)
+        hits = anti_latin_pair.cache_info().hits
+        assert anti_latin_pair(5) is pair
+        assert anti_latin_pair.cache_info().hits == hits + 1
+        assert anti_latin_pair.cache_info().maxsize is not None
+
+    def test_budget_error_is_not_memoised(self, monkeypatch):
+        anti_latin_pair.cache_clear()
+        monkeypatch.setattr(attack_engine, "find_decodable_pair",
+                            lambda d, seed: find_decodable_pair(d, seed, budget=5))
+        with pytest.raises(BudgetError):
+            anti_latin_pair(5)
+        monkeypatch.undo()
+        assert anti_latin_pair(5) == find_decodable_pair(5).pair
 
 
 def literal_pair_levels(d, encoders, relays):

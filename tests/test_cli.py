@@ -9,6 +9,9 @@ from wiretaplab import algebra, attack_engine, cli
 from wiretaplab.anti_latin import reference_decodable_pair
 from wiretaplab.cli import _build_family_code, _family_shape, main
 
+from test_cli_golden import CORPUS, write_inputs
+from test_cli_golden import run as run_quietly
+
 FAMILIES = ("scalar-linear", "scalar-linear-norand", "standard", "anti-latin",
             "vector-linear")
 
@@ -221,6 +224,7 @@ class TestExitCodes:
             raise AssertionError("a column walk started")
 
         monkeypatch.setattr(attack_engine, "_columns", no_columns)
+        monkeypatch.setattr(attack_engine, "_slice_columns", no_columns)
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", "--family", family, "--d", d,
                              "--class", klass)
@@ -490,6 +494,32 @@ class TestSelftests:
         assert out == ("selftest scalar transcript: ok\n"
                        "selftest standard zero-scramble: ok\n"
                        "selftest built-ins correct: FAIL\n")
+
+
+class TestParserCache:
+    # main builds its parser once per process, so no call may leave state
+    # in it that changes a later call
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_golden_corpus_backwards_in_one_process(self, tmp_path, monkeypatch):
+        # the corpus test runs the invocations in order; here each one
+        # follows the invocations that come after it there
+        corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+        for i, entry in reversed(list(enumerate(corpus))):
+            work = tmp_path / str(i)
+            work.mkdir()
+            write_inputs(work)
+            monkeypatch.chdir(work)
+            assert run_quietly(entry["argv"]) == (entry["exit"], entry["stdout"]), entry["argv"]
+
+    def test_selftest_between_two_classify_calls(self, capsys):
+        argv = ("classify", "--family", "anti-latin", "--d", "5", "--class",
+                "adaptive-active", "--format", "json")
+        first = run(capsys, *argv)
+        assert run(capsys, "classify", "--selftest")[0] == 0
+        assert run(capsys, *argv) == first
 
 
 class TestHanCommand:
