@@ -6,14 +6,15 @@ drives a relay code sending (a_{Y1,Y2}, b_{Y1,Y2}); the pair is usable
 iff the second-layer value sets ("Xi sets") indexed by message value are
 pairwise disjoint, which this module decides exactly.
 
-Every search decides pairs through one predicate, the equality-pattern
-mask of `conflict_mask`: one bit per constrained cell pair, set where
-the square repeats a value, so that two squares are compatible iff
-their masks are disjoint.  The exact searches walk the catalog as
+The exact searches (d <= 3) decide pairs through one predicate, the
+equality-pattern mask of `conflict_mask`: one bit per constrained cell
+pair, set where the square repeats a value, so that two squares are
+compatible iff their masks are disjoint.  They walk the catalog as
 tuples of row numbers, read each mask off per-row tables and build
-squares only for what they return.  The Xi-set `is_decodable_pair` and
-the direct `is_one_to_one_pair` are kept as the independent reference
-that re-checks every certificate.
+squares only for what they return.  The hill-climbs (d >= 4) score
+anti-Latin violations and value-pair collisions instead.  The Xi-set
+`is_decodable_pair` and the direct `is_one_to_one_pair` are kept as the
+independent reference that certifies every result.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ def is_anti_latin(table: Sequence[Sequence[int]]) -> bool:
         for v in r:
             if not isinstance(v, int) or not 0 <= v < d:
                 raise ValueError(f"entry {v!r} outside Z_{d}")
-    for r in rows:
-        if len(set(r)) == d:
-            return False
-    for j in range(d):
-        if len({r[j] for r in rows}) == d:
-            return False
-    return True
+    return _anti_latin_violations(rows, d) == 0
 
 
 @dataclass(frozen=True)

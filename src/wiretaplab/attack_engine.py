@@ -36,6 +36,8 @@ optimum are memos of bounded size.
 
 enumerate_attacks and simulate_attack evaluate strategies one at a time,
 literally; they are the reference the optimiser is tested against.
+simulate_attack is one walk over the atoms that reads the code's tables
+through no helper of classify.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .errors import BudgetError
 from .info_theory import JointDistribution, _determines, _entropy_of_weights, _project
 from .onehop_codes import (
     OneHopCode,
+    _standard_encoder,
+    _support_decoder,
     anti_latin_code,
     enumerate_code_tables,
     enumerate_onehop_codes,  # kept in this namespace: perfbench wraps it here
@@ -133,28 +137,14 @@ class AttackStrategy:
         if not self.klass.is_adaptive and len(set(self.selector)) != 1:
             raise ValueError("deterministic attacks must have a constant selector")
 
-    @property
-    def fixed_second_edge(self) -> Optional[int]:
-        return self.selector[0] if len(set(self.selector)) == 1 else None
-
-    def view_index(self, view: tuple[int, ...]) -> int:
-        idx = 0
-        for v in view:
-            idx = idx * self.d + v
-        return idx
-
-    def second_edge_for(self, view: tuple[int, ...]) -> int:
-        return self.selector[self.view_index(view)]
-
     def to_json_dict(self) -> dict:
         out = {
             "class": self.klass.value,
             "first_edge": self.first_edge,
             "modification": list(self.modification),
         }
-        fixed = self.fixed_second_edge
-        if fixed is not None and not self.klass.is_adaptive:
-            out["second_edge"] = fixed
+        if not self.klass.is_adaptive:  # a constant selector
+            out["second_edge"] = self.selector[0]
         else:
             out["selector"] = list(self.selector)
         return out
@@ -205,51 +195,35 @@ def enumerate_attacks(d: int, klass: AttackClass,
 # ---------------------------------------------------------------------------
 # exact simulation
 
-def _base_law(code: OneHopCode, first_edge: int,
-              modification: Sequence[int]) -> tuple[dict, int]:
-    """Exact joint weights of (M, view..., Y3, Y4, decoded) under an attack.
-
-    The view holds Eve's true observations on her first-layer edge, one
-    per shot.  The relay consumes the modified symbol in every shot.
-    """
-    pos = first_edge - 1
-    weights: dict[tuple, int] = {}
-    count = 0
-    for key in code.encoder_inputs():
-        m, scrambles = key[0], key[1:]
-        first = code.first_layer_symbols(m, scrambles)
-        view = tuple(first[2 * shot + pos] for shot in range(code.shots))
-        relay_in = list(first)
-        for shot in range(code.shots):
-            relay_in[2 * shot + pos] = modification[first[2 * shot + pos]]
-        relay_in = tuple(relay_in)
-        for lp in code.relay_random_values():
-            y3, y4 = code.relay_output(relay_in, lp)
-            atom = (m,) + view + (y3, y4, code.decoder[(y3, y4)])
-            weights[atom] = weights.get(atom, 0) + 1
-            count += 1
-    return weights, count
-
-
-def _view_variable_names(shots: int) -> tuple[str, ...]:
-    return ("Z1",) if shots == 1 else ("Z1A", "Z1B")
-
-
 def simulate_attack(code: OneHopCode, strategy: AttackStrategy) -> JointDistribution:
-    """Exact joint law of (M, Eve's view, decoder output) for one strategy."""
+    """Exact joint law of (M, Eve's view, Z2, decoder output) for one strategy.
+
+    Walks every atom (encoder input, relay symbol) literally.  The view
+    holds Eve's true observations on her first-layer edge, one per shot;
+    the relay reads the modified symbol in every shot; the selector maps
+    the view, read as a number in base d, to the second-layer edge whose
+    symbol is Z2.
+    """
     if strategy.d != code.d or strategy.shots != code.shots:
         raise ValueError("strategy shape does not match the code")
-    base, total = _base_law(code, strategy.first_edge, strategy.modification)
-    weights: dict[tuple, int] = {}
-    s = code.shots
-    for atom, w in base.items():
-        m, view, y3, y4, mhat = atom[0], atom[1:1 + s], atom[1 + s], atom[2 + s], atom[3 + s]
-        z2 = y3 if strategy.second_edge_for(view) == 3 else y4
-        k = (m,) + view + (z2, mhat)
-        weights[k] = weights.get(k, 0) + w
     d = code.d
-    variables = [("M", d)] + [(n, d) for n in _view_variable_names(s)] + \
-        [("Z2", d), ("MHAT", d)]
+    weights: dict[tuple, int] = {}
+    for key in code.encoder_inputs():
+        m = key[0]
+        first = list(code.first_layer_symbols(m, key[1:]))
+        # e(first_edge) carries every other symbol, shot by shot
+        view = tuple(first[strategy.first_edge - 1::2])
+        first[strategy.first_edge - 1::2] = [strategy.modification[v] for v in view]
+        index = 0
+        for v in view:
+            index = index * d + v
+        edge, relay_in = strategy.selector[index], tuple(first)
+        for lp in code.relay_random_values():
+            y34 = code.relay_output(relay_in, lp)
+            atom = (m, *view, y34[edge - 3], code.decoder[y34])
+            weights[atom] = weights.get(atom, 0) + 1
+    views = ("Z1",) if code.shots == 1 else ("Z1A", "Z1B")
+    variables = [("M", d), *((name, d) for name in views), ("Z2", d), ("MHAT", d)]
     return JointDistribution.from_weights(variables, weights)
 
 
@@ -659,11 +633,11 @@ def _affine_relay_code(d: int, params: tuple[int, ...]) -> OneHopCode:
     off the support, unreachable pairs decoding to 0.
     """
     p, q, s0, t, u, w0 = params
-    encoder = {(m, l): ((l, (m + l) % d),) for m, l in product(range(d), repeat=2)}
+    encoder = _standard_encoder(d)
     relay = {(y1, y2): ((p * y1 + q * y2 + s0) % d, (t * y1 + u * y2 + w0) % d)
              for y1, y2 in product(range(d), repeat=2)}
-    support = {relay[out]: m for (m, _), (out,) in encoder.items()}
-    decoder = {k: support.get(k, 0) for k in product(range(d), repeat=2)}
+    support = ((relay[out], m) for (m, _), (out,) in encoder.items())
+    decoder = _support_decoder(support, product(range(d), repeat=2))
     return OneHopCode(d, 1, 1, False, encoder, relay, decoder,
                       name=f"scalar-affine-{'-'.join(map(str, params))}")
 
@@ -695,6 +669,8 @@ def _pair_rank(d: int, messages: tuple[int, ...], encoder: Sequence[tuple[int, i
                for tap in zip(*encoder) for w in zip(*second))
 
 
+# a function of d alone, and the grid refuses d > 6 before its first row
+@lru_cache(maxsize=5)
 def _scalar_linear_row(d: int) -> dict[str, SecurityLevel]:
     """Family-best level per column over all correct affine-relay codes.
 
@@ -705,9 +681,9 @@ def _scalar_linear_row(d: int) -> dict[str, SecurityLevel]:
     superset class, so only the others are built as codes and classified
     under the larger classes.
     """
-    atoms = list(product(range(d), repeat=2))
-    messages = tuple(m for m, _ in atoms)
-    encoder = [(l, (m + l) % d) for m, l in atoms]
+    standard = _standard_encoder(d)
+    messages = tuple(m for m, _ in standard)
+    encoder = [out for out, in standard.values()]
     best = dict.fromkeys(TABLE_COLUMNS, _LEVEL_RANK[SecurityLevel.INSECURE])
     found_any = False
     for (p, q, t, u), relay in _linear_maps(d):
@@ -773,7 +749,8 @@ def classification_table(d_list: Sequence[int]) -> ClassificationTable:
         check_classify_budget(d, 2, d ** 4, AttackClass.ADAPTIVE_ACTIVE)
     rows = []
     for d in d_list:
-        rows.append(TableRow("scalar-linear", d, _scalar_linear_row(d)))
+        # a copy, so that editing a returned row leaves the memo as it was
+        rows.append(TableRow("scalar-linear", d, dict(_scalar_linear_row(d))))
         if d == 2:
             rows.append(TableRow("standard-nonlinear", d,
                                  _code_row(standard_nonlinear_code(2))))

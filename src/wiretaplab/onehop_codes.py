@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .anti_latin import AntiLatinSquare, is_decodable_pair, xi_set
 from .info_theory import _determines
@@ -28,11 +28,12 @@ RelayTable = dict[tuple[int, ...], tuple[int, int]]
 DecoderTable = dict[tuple[int, int], int]
 
 
-# Every code of a sweep checks its tables against the same few key sets.
+# Every code of a sweep reads its tables through the same few word sets.
 @lru_cache(maxsize=16)
-def _words(d: int, length: int) -> frozenset:
-    """Every word of the given length over Z_d: the keys of a total table."""
-    return frozenset(product(range(d), repeat=length))
+def _words(d: int, length: int) -> dict:
+    """Every word of the given length over Z_d, the keys of a total table,
+    each mapped to itself: a lookup returns the int word equal to a tuple."""
+    return {w: w for w in product(range(d), repeat=length)}
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class OneHopCode:
 
     The relay table takes only first-layer symbols (and its own
     randomness) as input, so it cannot depend on the message or source
-    scrambles except through (Y1, Y2).
+    scrambles except through (Y1, Y2).  Every output symbol is stored as
+    an int, pairs as tuples; table keys are stored as given.
     """
 
     d: int
@@ -64,29 +66,32 @@ class OneHopCode:
         if self.shots not in (1, 2):
             raise ValueError("shots must be 1 or 2")
         d = self.d
-        # outputs are stored as tuples; 1.0 and True pass as members, 0.5 not
+        # every output symbol is read through _words and stored as the int
+        # word it equals (1.0 and True as 1; 0.5 finds none); keys as given
         pairs = _words(d, 2)
-        if set(self.encoder) != _words(d, 1 + self.scramble_count):
+        if self.encoder.keys() != _words(d, 1 + self.scramble_count).keys():
             raise ValueError("encoder table is not total over (M, scrambles)")
         encoder = {}
         for key, out in self.encoder.items():
-            out = encoder[key] = tuple(map(tuple, out))
+            out = encoder[key] = tuple(map(pairs.get, map(tuple, out)))
             if len(out) != self.shots:
                 raise ValueError("encoder output must have one pair per shot")
-            if not pairs.issuperset(out):
+            if None in out:
                 raise ValueError("encoder outputs must be pairs over Z_d")
         relay_arity = 2 * self.shots + (1 if self.relay_randomness else 0)
-        if set(self.relay) != _words(d, relay_arity):
+        if self.relay.keys() != _words(d, relay_arity).keys():
             raise ValueError("relay table is not total over its inputs")
-        relay = {key: tuple(out) for key, out in self.relay.items()}
-        if not pairs.issuperset(relay.values()):
+        relay = dict(zip(self.relay, map(pairs.get, map(tuple, self.relay.values()))))
+        if None in relay.values():
             raise ValueError("relay outputs must be pairs over Z_d")
-        if set(self.decoder) != pairs:
+        if self.decoder.keys() != pairs.keys():
             raise ValueError("decoder table is not total over (Y3, Y4)")
-        if not _words(d, 1).issuperset(zip(self.decoder.values())):  # 1-tuples
+        messages = list(map(_words(d, 1).get, zip(self.decoder.values())))  # 1-tuples
+        if None in messages:
             raise ValueError("decoder outputs must lie in Z_d")
         object.__setattr__(self, "encoder", encoder)
         object.__setattr__(self, "relay", relay)
+        object.__setattr__(self, "decoder", dict(zip(self.decoder, chain.from_iterable(messages))))
 
     @property
     def rate_bits(self) -> float:
@@ -103,8 +108,7 @@ class OneHopCode:
 
     def first_layer_symbols(self, m: int, scrambles: tuple[int, ...]) -> tuple[int, ...]:
         """Flattened (y1, y2[, y1', y2']) for the given source inputs."""
-        out = self.encoder[(m, *scrambles)]
-        return tuple(v for pair in out for v in pair)
+        return sum(self.encoder[(m, *scrambles)], ())
 
     def relay_output(self, first_layer: tuple[int, ...],
                      relay_rand: Optional[int] = None) -> tuple[int, int]:
@@ -137,12 +141,30 @@ class OneHopCode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OneHopCode":
-        encoder = {tuple(k): tuple(tuple(p) for p in v) for k, v in data["encoder"]}
-        relay = {tuple(k): tuple(v) for k, v in data["relay"]}
+        encoder = {tuple(k): v for k, v in data["encoder"]}
+        relay = {tuple(k): v for k, v in data["relay"]}
         decoder = {tuple(k): v for k, v in data["decoder"]}
         return cls(data["d"], data["shots"], data["scramble_count"],
                    data["relay_randomness"], encoder, relay, decoder,
                    name=data.get("name", ""))
+
+
+def _standard_encoder(d: int) -> EncoderTable:
+    """Y1 = L, Y2 = M + L over the inputs (m, l) in lexicographic order."""
+    return {(m, l): ((l, (m + l) % d),) for m, l in product(range(d), repeat=2)}
+
+
+def _difference_decoder(d: int) -> DecoderTable:
+    """M = Y4 - Y3."""
+    return {(y3, y4): (y4 - y3) % d for y3, y4 in product(range(d), repeat=2)}
+
+
+def _support_decoder(support: Iterable[tuple[tuple[int, int], int]],
+                     keys: Iterable[tuple[int, int]]) -> DecoderTable:
+    """Each key decodes to the message the ((y3, y4), m) support pairs give it, else to 0."""
+    decoder = dict.fromkeys(keys, 0)
+    decoder.update(support)
+    return decoder
 
 
 def scalar_linear_code(d: int, relay_randomness: bool = True) -> OneHopCode:
@@ -152,18 +174,15 @@ def scalar_linear_code(d: int, relay_randomness: bool = True) -> OneHopCode:
     zero), which is the degenerate member used in no-relay-randomness
     sweeps.
     """
-    encoder = {(m, l): (((l % d), (m + l) % d),)
-               for m, l in product(range(d), repeat=2)}
     if relay_randomness:
         relay = {(y1, y2, lp): (lp, (y2 - y1 + lp) % d)
                  for y1, y2, lp in product(range(d), repeat=3)}
     else:
         relay = {(y1, y2): (0, (y2 - y1) % d)
                  for y1, y2 in product(range(d), repeat=2)}
-    decoder = {(y3, y4): (y4 - y3) % d for y3, y4 in product(range(d), repeat=2)}
     suffix = "" if relay_randomness else "-norand"
-    return OneHopCode(d, 1, 1, relay_randomness, encoder, relay, decoder,
-                      name=f"scalar-linear{suffix}-d{d}")
+    return OneHopCode(d, 1, 1, relay_randomness, _standard_encoder(d), relay,
+                      _difference_decoder(d), name=f"scalar-linear{suffix}-d{d}")
 
 
 def standard_nonlinear_code(d: int) -> OneHopCode:
@@ -172,12 +191,9 @@ def standard_nonlinear_code(d: int) -> OneHopCode:
     Y4 - Y3 = (Y2 - Y1) = M for every d; at d = 2 this coincides with
     Y3 + Y4.
     """
-    encoder = {(m, l): ((l, (m + l) % d),)
-               for m, l in product(range(d), repeat=2)}
     relay = {(y1, y2): ((y1 * (y2 - y1)) % d, ((y1 + 1) * (y2 - y1)) % d)
              for y1, y2 in product(range(d), repeat=2)}
-    decoder = {(y3, y4): (y4 - y3) % d for y3, y4 in product(range(d), repeat=2)}
-    return OneHopCode(d, 1, 1, False, encoder, relay, decoder,
+    return OneHopCode(d, 1, 1, False, _standard_encoder(d), relay, _difference_decoder(d),
                       name=f"standard-nonlinear-d{d}")
 
 
@@ -188,18 +204,12 @@ def anti_latin_code(a: AntiLatinSquare, b: AntiLatinSquare) -> OneHopCode:
     if not is_decodable_pair(a, b):
         raise ValueError("pair is not decodable; the relay code has no decoder")
     d = a.d
-    encoder = {(m, l): ((l, (m + l) % d),)
-               for m, l in product(range(d), repeat=2)}
     relay = {(y1, y2): (a.entry(y1, y2), b.entry(y1, y2))
              for y1, y2 in product(range(d), repeat=2)}
-    decoder = {}
-    for z in range(d):
-        for m in range(d):
-            for w in xi_set(a, b, z, m).members:
-                decoder[(z, w)] = m
-    for key in product(range(d), repeat=2):
-        decoder.setdefault(key, 0)
-    return OneHopCode(d, 1, 1, False, encoder, relay, decoder,
+    support = (((z, w), m) for z in range(d) for m in range(d)
+               for w in xi_set(a, b, z, m).members)
+    decoder = _support_decoder(support, product(range(d), repeat=2))
+    return OneHopCode(d, 1, 1, False, _standard_encoder(d), relay, decoder,
                       name=f"anti-latin-d{d}")
 
 
@@ -217,8 +227,7 @@ def vector_linear_code(d: int) -> OneHopCode:
     for y1, y2, y1p, y2p in product(range(d), repeat=4):
         y3 = (y2p - y1p) % d
         relay[(y1, y2, y1p, y2p)] = (y3, (y2 - y1 + y3) % d)
-    decoder = {(y3, y4): (y4 - y3) % d for y3, y4 in product(range(d), repeat=2)}
-    return OneHopCode(d, 2, 3, False, encoder, relay, decoder,
+    return OneHopCode(d, 2, 3, False, encoder, relay, _difference_decoder(d),
                       name=f"vector-linear-d{d}")
 
 
@@ -278,8 +287,7 @@ def enumerate_onehop_codes(d: int = 2) -> Iterator[OneHopCode]:
     decoding to 0.
     """
     for name, encoder, relay, (messages, _, _, y3, y4) in enumerate_code_tables(d):
-        support = dict(zip(zip(y3, y4), messages))
-        decoder = {k: support.get(k, 0) for k in relay}
+        decoder = _support_decoder(zip(zip(y3, y4), messages), relay)
         yield OneHopCode(2, 1, 1, False, encoder, relay, decoder, name=name)
 
 

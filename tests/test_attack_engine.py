@@ -315,6 +315,14 @@ class TestEnumerateAttacks:
         with pytest.raises(BudgetError):
             enumerate_attacks(6, AA)
 
+    def test_budget_edge(self, monkeypatch):
+        # 2 first edges x 2^2 maps x 2 second edges
+        monkeypatch.setattr(attack_engine, "_ENUMERATION_CAP", 16)
+        assert len(enumerate_attacks(2, DA)) == 16
+        monkeypatch.setattr(attack_engine, "_ENUMERATION_CAP", 15)
+        with pytest.raises(BudgetError, match="16 strategies"):
+            enumerate_attacks(2, DA)
+
     def test_strategy_invariants(self):
         with pytest.raises(ValueError):
             AttackStrategy(2, 1, DP, 1, (1, 0), (3, 3))  # passive, non-identity
@@ -322,6 +330,8 @@ class TestEnumerateAttacks:
             AttackStrategy(2, 1, DP, 1, (0, 1), (3, 4))  # deterministic, varying
         with pytest.raises(ValueError):
             AttackStrategy(2, 1, DP, 5, (0, 1), (3, 3))
+        with pytest.raises(ValueError, match="map on Z_d"):
+            AttackStrategy(2, 1, DA, 1, (0, 2), (3, 3))  # the value d
 
     def test_json_forms(self):
         fixed = AttackStrategy(2, 1, DP, 1, (0, 1), (3, 3))
@@ -541,9 +551,15 @@ class TestClassify:
             classify(vector_linear_code(7), AA)
         assert classify(vector_linear_code(7), AP).level is SecurityLevel.PERFECT
         assert classify(standard_nonlinear_code(7), AA).level is SecurityLevel.INSECURE
+        # the map cap's edge, far below the read cap on both sides
+        for klass in (DA, AA):
+            check_classify_budget(6, 2, 6 ** 4, klass)
+            with pytest.raises(BudgetError, match="d > 6"):
+                check_classify_budget(7, 2, 7 ** 4, klass)
 
     def test_read_budget(self, monkeypatch):
         cap = attack_engine._CLASSIFY_READ_CAP
+        assert cap == 1 << 19
         check_classify_budget(2, 1, cap, DP)
         check_classify_budget(8, 1, cap // 8, DA)
         check_classify_budget(4, 2, cap // 16, AA)
@@ -817,6 +833,13 @@ class TestClassificationTable:
         row = next(r for r in table_23.rows if r.family == "anti-latin")
         assert all(v is SecurityLevel.IMPERFECT for v in row.cells.values())
 
+    def test_repeated_grids_are_equal_and_independent(self):
+        # the scalar-linear row is memoised per d; each grid gets its own copy
+        first = classification_table([2])
+        assert classification_table([2]) == first
+        first.rows[0].cells["active"] = SecurityLevel.PERFECT
+        assert classification_table([2]).rows[0].cells["active"] is SecurityLevel.INSECURE
+
     def test_renderings(self, table_23):
         assert "scalar-linear" in table_23.to_text()
         csv = table_23.to_csv()
@@ -990,6 +1013,18 @@ class TestScalarLinearSweep:
         with pytest.raises(BudgetError):
             exhaustive_scalar_linear_check(6)
 
+    def test_d5_is_in_budget(self, monkeypatch):
+        # stop at the first pair: d = 5 gets past the guard to the sweep
+        class Swept(Exception):
+            pass
+
+        def first_pair(*args):
+            raise Swept
+
+        monkeypatch.setattr(attack_engine, "_pair_rank", first_pair)
+        with pytest.raises(Swept):
+            exhaustive_scalar_linear_check(5)
+
 
 def literal_nonexistence_report(codes, klass):
     """(total, level counts, counterexamples, witness JSON per name) code by code.
@@ -1125,6 +1160,8 @@ class TestScalarLinearD6:
             return real(code, klass)
 
         monkeypatch.setattr(attack_engine, "classify", spy)
+        # the row is memoised per d; a warm memo would classify nothing
+        _scalar_linear_row.cache_clear()
         _scalar_linear_row(d)
         assert calls == [(code, klass) for code in survivors for klass in (DA, AA)]
 

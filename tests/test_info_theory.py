@@ -316,6 +316,12 @@ class TestHanCollection:
         with pytest.raises(ValueError):
             check_han_collection(d, ("Y1", "Y2"), (), [(0,), (0, 1)], 1)
 
+    def test_member_index_k_is_refused(self):
+        # the index one past the groups, not an IndexError from the counts
+        d = JointDistribution.uniform((("Y1", 2), ("Y2", 2)))
+        with pytest.raises(ValueError, match=re.escape("index 2 outside range(2)")):
+            check_han_collection(d, ("Y1", "Y2"), (), [(0,), (1,), (2,)], 1)
+
     def test_random_sweep_k3(self):
         rng = random.Random(20240917)
         variables = (("X", 2), ("Y1", 2), ("Y2", 2), ("Y3", 2))
@@ -379,6 +385,20 @@ class TestRandomDistributionBudget:
         with pytest.raises(BudgetError):
             random_rational_distribution(rng, variables)
         assert rng.getstate() == state
+
+    def test_cell_cap_edge(self):
+        class Drawn(Exception):
+            pass
+
+        class FirstDrawRaises:
+            def random(self):
+                raise Drawn
+
+        # 2^16 cells pass the cap and start drawing; 2^16 + 1 (a prime) do not
+        with pytest.raises(Drawn):
+            random_rational_distribution(FirstDrawRaises(), [("A", 1 << 16)])
+        with pytest.raises(BudgetError, match="65537 cells"):
+            random_rational_distribution(FirstDrawRaises(), [("A", (1 << 16) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +639,13 @@ class TestExactHanDecision:
         assert _coprime_exponents({101 * 103: 2, 101: -2, 103: -2}) == {}
         assert _coprime_exponents({12: 1, 18: -1}) == {2: 1, 3: -1}
         assert _coprime_exponents({101 * 103: 1, 101 * 107: -1}) == {103: 1, 107: -1}
+
+    def test_coprime_exponents_split_the_base_that_shares_a_factor(self):
+        # 101 meets the kept bases 107, 101 and 103 (in that order): the
+        # first shares no factor with it, so the refinement must pick the
+        # second.  The bases come out in the order _log_sign sums them.
+        result = _coprime_exponents({101: 1, 101 * 103: 1, 103 * 107: 1})
+        assert list(result.items()) == [(107, 1), (103, 2), (101, 2)]
 
     @PROPERTY
     @given(st.dictionaries(st.sampled_from([2, 6, 9, 12, 101, 202, 303, 101 * 103, 103 * 107,

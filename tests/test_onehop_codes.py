@@ -11,7 +11,8 @@ from wiretaplab.anti_latin import (
     find_decodable_pair,
     reference_decodable_pair,
 )
-from wiretaplab.attack_engine import AttackClass, classify
+from wiretaplab import attack_engine
+from wiretaplab.attack_engine import AttackClass, classify, simulate_attack
 from wiretaplab.info_theory import JointDistribution, is_independent, mutual_information
 from wiretaplab.onehop_codes import (
     OneHopCode,
@@ -431,6 +432,46 @@ class TestValidation:
             standard = classify(STANDARD, klass).to_json_dict()
             del verdict["code_id"], standard["code_id"]
             assert verdict == standard, klass
+
+    @pytest.mark.parametrize("one", [1.0, True], ids=repr)
+    @pytest.mark.parametrize("base", [STANDARD, vector_linear_code(2)], ids=lambda c: c.name)
+    def test_symbols_equal_to_one_are_stored_as_ints(self, base, one):
+        # 1.0 and True equal 1.  Stored as given, they reached the classifier's
+        # memos, whose tuple keys equal the int code's, so a failed classify
+        # of this code also broke classify of the int code later.
+        def odd(v):
+            return one if v == 1 else v
+
+        odd_code = OneHopCode(**code_args(
+            base,
+            encoder={k: tuple(tuple(map(odd, pair)) for pair in out)
+                     for k, out in base.encoder.items()},
+            relay={k: tuple(map(odd, out)) for k, out in base.relay.items()},
+            decoder={k: odd(v) for k, v in base.decoder.items()}))
+        symbols = [v for out in odd_code.encoder.values() for pair in out for v in pair]
+        symbols += [v for out in odd_code.relay.values() for v in out]
+        symbols += list(odd_code.decoder.values())
+        assert {type(v) for v in symbols} == {int}
+
+        def verdicts(code):
+            out = []
+            for klass in AttackClass:
+                verdict = classify(code, klass).to_json_dict()
+                del verdict["code_id"]
+                out.append(verdict)
+            return out
+
+        def clear_memos():
+            attack_engine._tap_terms.cache_clear()
+            attack_engine._tap_optimum.cache_clear()
+
+        clear_memos()
+        want = verdicts(base)
+        clear_memos()
+        assert verdicts(odd_code) == want
+        for klass in AttackClass:
+            simulate_attack(odd_code, classify(odd_code, klass).witness)
+        assert verdicts(base) == want
 
     def test_same_verdict_as_the_literal_checks(self):
         rng = random.Random(5)
